@@ -375,12 +375,20 @@ func httpError(w http.ResponseWriter, code int, msg string) {
 	writeJSON(w, code, errorBody{Error: msg})
 }
 
+// writeJSON marshals v before committing the status line, so a value
+// that cannot be encoded answers 500 with an error body instead of a
+// 200 with an empty one.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		code = http.StatusInternalServerError
+		data = mustMarshal(errorBody{Error: "advisor: encode response: " + err.Error()})
+	} else {
+		data = append(data, '\n')
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	// An encode failure here means the client went away mid-write;
+	// A write failure here means the client went away mid-write;
 	// nothing useful is left to do with the connection.
-	_ = enc.Encode(v)
+	_, _ = w.Write(data)
 }

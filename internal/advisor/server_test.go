@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -55,6 +56,43 @@ func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
 
 func planReq(n int) PlanRequest {
 	return PlanRequest{Kernel: "jacobi", N: n, K: 8, L1: testGeometry(), Method: "Euc3D"}
+}
+
+// TestPlanEndpointUntiledCost: an untiled plan (GcdPadNT pads but
+// never tiles) carries Cost=+Inf, which JSON numbers cannot express.
+// The answer must still be a decodable 200, with the cost as null.
+func TestPlanEndpointUntiledCost(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	req := planReq(40)
+	req.Method = "GcdPadNT"
+	resp, body := postJSON(t, ts.URL+"/v1/plan", req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	var pr PlanResponse
+	if err := json.Unmarshal(body, &pr); err != nil {
+		t.Fatalf("undecodable response %q: %v", body, err)
+	}
+	if pr.Plan.Tiled || pr.Plan.DI == 0 {
+		t.Errorf("GcdPadNT plan = %+v, want padded and untiled", pr.Plan)
+	}
+	if !bytes.Contains(body, []byte(`"cost": null`)) {
+		t.Errorf("non-finite cost not encoded as null:\n%s", body)
+	}
+}
+
+// TestWriteJSONUnencodable: a value encoding/json refuses answers 500
+// with an error body, not the requested status with an empty one.
+func TestWriteJSONUnencodable(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, map[string]float64{"x": math.NaN()})
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500", rec.Code)
+	}
+	var eb errorBody
+	if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil || eb.Error == "" {
+		t.Errorf("error body %q: %v", rec.Body.String(), err)
+	}
 }
 
 // TestPlanEndpoint exercises the happy path: a simulated, certified

@@ -16,6 +16,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -205,6 +206,20 @@ type PlanInfo struct {
 	DJ    int     `json:"dj"`
 	Tiled bool    `json:"tiled"`
 	Cost  float64 `json:"cost"`
+}
+
+// MarshalJSON encodes a non-finite Cost — an untiled plan costs +Inf —
+// as null, which JSON numbers cannot express; every other field, and a
+// finite Cost, encode exactly as the plain struct does.
+func (p PlanInfo) MarshalJSON() ([]byte, error) {
+	type plain PlanInfo
+	if !math.IsInf(p.Cost, 0) && !math.IsNaN(p.Cost) {
+		return json.Marshal(plain(p))
+	}
+	return json.Marshal(struct {
+		plain
+		Cost *float64 `json:"cost"`
+	}{plain: plain(p)})
 }
 
 func planInfo(p core.Plan) PlanInfo {

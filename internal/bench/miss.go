@@ -85,9 +85,9 @@ func (r SimResult) MissPoint() MissPoint {
 }
 
 // SimulateStats simulates one (kernel, method, size) cell: one warm-up
-// sweep, then opt.Sweeps measured sweeps through the two-level hierarchy.
-// Simulation is trace-only, so the workload carries no element data and
-// the sweeps run on the batched replay engine.
+// sweep, then opt.Sweeps measured sweeps through the two-level hierarchy
+// (cache.WarmMeasure). Simulation is trace-only, so the workload carries
+// no element data and the sweeps run on the batched replay engine.
 func SimulateStats(k stencil.Kernel, m core.Method, n int, opt Options) SimResult {
 	plan := opt.Plan(k, m, n)
 	w := stencil.NewTraceWorkload(k, n, opt.K, plan)
@@ -98,25 +98,10 @@ func SimulateStats(k stencil.Kernel, m core.Method, n int, opt Options) SimResul
 		sweeps = 1
 	}
 	sd, _ := sink.(*cache.Steady)
-	useDelta := sd != nil && !opt.DisableDelta
-	if useDelta {
-		if opt.deltaDonor != nil {
-			sd.SeedDelta(opt.deltaDonor)
-		}
-		sd.DeltaTraceBegin()
+	if sd != nil && !opt.DisableDelta && opt.deltaDonor != nil {
+		sd.SeedDelta(opt.deltaDonor)
 	}
-	w.ReplayTrace(sink) // warm-up: exclude cold misses, as a long run would
-	traced := useDelta && sd.DeltaTraceEnd()
-	h.ResetStats()
-	for s := 0; s < sweeps; s++ {
-		// Delta replay reproduces the whole sweep from the traced phase
-		// records when every record validates; otherwise (or with no
-		// trace) the sweep replays through the walker as before.
-		if traced && sd.ReplayDeltaSweep() {
-			continue
-		}
-		w.ReplayTrace(sink)
-	}
+	traced := cache.WarmMeasure(h, sd, sweeps, !opt.DisableDelta, w.ReplayTrace)
 	if opt.steadyDiag != nil && sd != nil {
 		*opt.steadyDiag = sd.Diag()
 	}

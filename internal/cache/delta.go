@@ -35,12 +35,20 @@ import "fmt"
 //     (or a full replay landed exactly on the record's end state), the
 //     live state equals the record's end state — which is, by step 1,
 //     the state the traced sweep entered its *next* phase with. Every
-//     subsequent phase therefore starts from the recorded entry state
-//     and commits with zero replay. The fixed-point corollary: if the
-//     first delta-replayed sweep pinned anywhere, its end state equals
-//     the traced sweep's end state, so the next sweep starts from the
-//     exact state the previous one did and the whole sweep commits via
-//     the instant-repeat cache with a single state compare.
+//     subsequent phase therefore starts from the traced entry state.
+//     That makes the record's units exact only from the point where the
+//     traced phase's own run met the record: a phase archived whole met
+//     it at entry and commits with zero replay, but an echoed phase
+//     (a repeat of an earlier record, entered at a pin) ran units
+//     0..entry from its own entry state, which is not the one the
+//     record's deltas for those units were measured from. The chained
+//     path replays those units from the anchors — reaching the traced
+//     run's state at the pin — and commits from there. The fixed-point
+//     corollary: if the first delta-replayed sweep pinned anywhere, its
+//     end state equals the traced sweep's end state, so the next sweep
+//     starts from the exact state the previous one did and the whole
+//     sweep commits via the instant-repeat cache with a single state
+//     compare.
 //
 // Any validation failure — a record slot rewritten since tracing (gen
 // mismatch), a recycled anchor table, a pin that never matches and an
@@ -49,14 +57,17 @@ import "fmt"
 // partial reuse never happens: the replay is all-or-nothing per sweep.
 
 // deltaRef is one phase of the traced sweep: the history slot that
-// reproduces it and the slot's content generation at note time, plus
-// the phase shape for validation.
+// reproduces it and the slot's content generation at note time, the
+// phase shape for validation, and the last unit the traced phase ran
+// itself before the record took over (-1 when the phase archived the
+// record, the echo's pin unit when it echoed one).
 type deltaRef struct {
 	slot   int
 	gen    uint64
 	delta  int64
 	planes int
 	level  int
+	entry  int
 }
 
 // deltaState is the engine's delta layer (a field of Steady).
@@ -88,9 +99,9 @@ type DeltaDiag struct {
 	Sweeps          uint64 // sweeps completed by delta replay
 	Instant         uint64 // of those, via the instant-repeat cache
 	PhasesCommitted uint64 // phases committed from a record
-	PhasesChained   uint64 // of those, with zero replay (chained entry)
+	PhasesChained   uint64 // of those, entered chained (no pin hunt)
 	PhasesReplayed  uint64 // phases replayed in full (no pin matched)
-	UnitsReplayed   uint64 // units replayed from anchors before a pin hit
+	UnitsReplayed   uint64 // units replayed from anchors (up to a pin hit or echo entry)
 	UnitsSkipped    uint64 // units committed without replay
 	PinCompares     uint64 // state encodes+compares spent hunting pins
 	Fallbacks       uint64 // ReplayDeltaSweep refusals (stale refs etc.)
@@ -126,9 +137,9 @@ func (s *Steady) DeltaTraceBegin() {
 }
 
 // DeltaTraceEnd disarms capture and reports whether a complete trace
-// was obtained: the engine must be idle (no phase in flight), and every
-// phase begun while tracing must have committed a ref. Phases that
-// ended without archiving (live-mode abort, over-long units) leave
+// was obtained: the engine must be idle (settled, no phase in flight),
+// and every phase begun while tracing must have committed a ref. Phases
+// that ended without archiving (live-mode abort, over-long units) leave
 // starts > len(refs) and fail the reconciliation.
 func (s *Steady) DeltaTraceEnd() bool {
 	d := &s.dl
@@ -140,8 +151,9 @@ func (s *Steady) DeltaTraceEnd() bool {
 }
 
 // deltaNote records that the phase just ended is reproduced by history
-// slot v. Called from endPhase (after insertRecord) and echoCommit.
-func (s *Steady) deltaNote(v int) {
+// slot v from unit entry+1 on. Called from endPhase (after insertRecord,
+// entry -1) and echoCommit (entry = the echo's pin unit).
+func (s *Steady) deltaNote(v, entry int) {
 	d := &s.dl
 	if !d.tracing || !d.ok {
 		return
@@ -157,6 +169,7 @@ func (s *Steady) deltaNote(v int) {
 		delta:  r.delta,
 		planes: r.planes,
 		level:  r.level,
+		entry:  entry,
 	})
 }
 
@@ -245,13 +258,19 @@ func (s *Steady) ReplayDeltaSweep() bool {
 	for _, ref := range d.refs {
 		r := &s.hist[ref.slot]
 		if chained {
-			// The live state equals the previous record's end state,
-			// which is the state the traced sweep entered this phase
-			// with: commit everything with zero replay.
-			s.deltaCommitFrom(r, -1)
+			// The live state equals the state the traced sweep entered
+			// this phase with. Replay the units the traced phase ran
+			// itself (none for an archived record), which lands on the
+			// state it met the record in, and commit the rest.
+			for u := 0; u <= ref.entry; u++ {
+				a := &s.anchors[r.anchors[u]]
+				s.replayShifted(a.runs, int64(u-a.unit)*r.delta)
+			}
+			s.deltaCommitFrom(r, ref.entry)
 			d.diag.PhasesCommitted++
 			d.diag.PhasesChained++
-			d.diag.UnitsSkipped += uint64(r.planes)
+			d.diag.UnitsReplayed += uint64(ref.entry + 1)
+			d.diag.UnitsSkipped += uint64(r.planes - 1 - ref.entry)
 			continue
 		}
 		hit := -1

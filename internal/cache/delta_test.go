@@ -269,3 +269,57 @@ func TestDeltaRandomizedStreams(t *testing.T) {
 		}
 	}
 }
+
+// cachePhase replays one marked phase whose every unit loads and then
+// stores a region the size of the UltraSparc2 L2, so each unit rewrites
+// every set of both levels: the state after a unit depends on that
+// unit's stream alone, never on the state the phase was entered with.
+func cachePhase(sink RunSink, base int64, planes int, delta int64) {
+	const region = 2 << 20
+	for k := 0; k < planes; k++ {
+		o := base + int64(k)*delta
+		sink.ReplayRuns([]Run{
+			{Base: o, Stride: 8, Count: region / 8},
+			{Base: o, Stride: 8, Count: region / 8, Store: true},
+		})
+		MarkPlane(sink, PlaneMark{Delta: delta, Index: k, Planes: planes})
+	}
+}
+
+// TestDeltaEchoedPhaseChain: a traced sweep of phase A, then B, then A
+// again. The second A enters with B's dirty lines resident, so its
+// first unit writes them back where the first A's (cold) first unit
+// wrote nothing back; from unit 1 on the two are identical, and the
+// second A echoes the first one's record from its unit-1 pin. A delta
+// replay chaining into the second A must replay its units up to that
+// pin instead of adding the first A's recorded deltas for them.
+func TestDeltaEchoedPhaseChain(t *testing.T) {
+	sweep := func(sink RunSink) {
+		cachePhase(sink, 0, 4, 4096)
+		cachePhase(sink, 1<<24, 1, 0)
+		cachePhase(sink, 0, 4, 4096)
+	}
+	raw, st, sd := newDeltaPair()
+	sd.DeltaTraceBegin()
+	sweep(sd)
+	sd.Settle()
+	if !sd.DeltaTraceEnd() {
+		t.Fatalf("warm sweep did not produce a complete trace: %s", sd.DeltaInfo())
+	}
+	if sd.Echoes() == 0 {
+		t.Fatalf("setup: the second A did not echo the first: %s", sd.Diag())
+	}
+	sweep(raw)
+	raw.ResetStats()
+	st.ResetStats()
+	for s := 0; s < 2; s++ {
+		sweep(raw)
+		if !sd.ReplayDeltaSweep() {
+			t.Fatalf("sweep %d: delta replay refused: %s", s, sd.DeltaInfo())
+		}
+	}
+	assertDeltaEqual(t, "echoed phase chained", raw, st)
+	if d := sd.DeltaInfo(); d.PhasesChained == 0 {
+		t.Errorf("no phase chained: %s", d)
+	}
+}

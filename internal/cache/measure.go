@@ -1,0 +1,44 @@
+package cache
+
+// WarmMeasure runs the warm-measure protocol of one simulated
+// measurement on h: a warm-up sweep whose statistics are dropped, so
+// cold misses stay out of the measurement as they would in a long run,
+// then sweeps measured sweeps. sweep feeds one pass of the workload's
+// batched trace into the sink it is given; every pass must be the same
+// stream.
+//
+// With sd nil every sweep replays straight into h. Otherwise sd must
+// wrap h and every sweep goes through the engine. With delta set the
+// warm-up is traced and each measured sweep is reproduced from the
+// trace by ReplayDeltaSweep, walking the workload only when the replay
+// refuses. The engine is settled before the trace closes, before the
+// statistics reset and after the last measured sweep, so on return h's
+// statistics and state equal a raw replay of the same sweeps.
+//
+// It reports whether the warm-up left a complete delta trace, the
+// precondition of ExportDelta.
+func WarmMeasure(h *Hierarchy, sd *Steady, sweeps int, delta bool, sweep func(RunSink)) bool {
+	if sd == nil {
+		sweep(h)
+		h.ResetStats()
+		for i := 0; i < sweeps; i++ {
+			sweep(h)
+		}
+		return false
+	}
+	if delta {
+		sd.DeltaTraceBegin()
+	}
+	sweep(sd)
+	sd.Settle()
+	traced := delta && sd.DeltaTraceEnd()
+	h.ResetStats()
+	for i := 0; i < sweeps; i++ {
+		if traced && sd.ReplayDeltaSweep() {
+			continue
+		}
+		sweep(sd)
+	}
+	sd.Settle()
+	return traced
+}

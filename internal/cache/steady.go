@@ -326,16 +326,25 @@ const maxUnitRuns = 4 << 20
 
 // steadyHistory bounds the phase records kept for cross-phase echo. The
 // paper's single-grid workloads need at most two live shapes (red-black
-// passes); a multigrid V-cycle carries one smoother/residual/transfer
-// shape per grid level (~13 at LM=7), and the delta layer needs every
-// phase of a traced sweep resident at once.
-const steadyHistory = 16
+// passes), but the delta layer needs every distinct phase shape of a
+// traced sweep resident at once, and a multigrid V-cycle of depth LM
+// has 5·LM−4 of them: rprj3, interp and the residual on levels 2..LM
+// (both finest residuals share one shape), psinv on levels 1..LM and
+// the zero fill on levels 1..LM−1 — 31 at the reference LM=7. 48
+// leaves headroom up to LM=10 (46).
+const steadyHistory = 48
 
 // maxSteadyAnchors bounds the engine-lifetime anchor table. Anchors are
 // deduplicated across phases (a repeated phase re-matches its
 // predecessor's anchors), so the table stays at the number of distinct
-// unit shapes, a handful for every real walker.
-const maxSteadyAnchors = 64
+// unit shapes: a handful for the single-grid walkers. A Δ=0 phase
+// cannot deduplicate — each of its units is its own anchor — and the
+// V-cycle's rprj3 and interp phases are Δ=0 with one unit per coarse
+// plane, 2^(l−1) and 2^(l−1)+1 units on level l: 2^(LM+1)+LM−5 anchors
+// over levels 2..LM (258 at LM=7), plus one per fill and a few per
+// translating phase. 1024 holds a whole V-cycle's anchors through LM=8
+// (about 550); deeper cycles recycle the table and replay in full.
+const maxSteadyAnchors = 1024
 
 // NewSteady wraps a hierarchy in the steady-state engine. Feeding the
 // returned sink produces statistics and final state bit-identical to
@@ -514,6 +523,25 @@ func (s *Steady) PlaneMark(mk PlaneMark) {
 		}
 	}
 	s.sweepTapMarkDone()
+}
+
+// Settle brings the wrapped levels' statistics and state up to date
+// with everything fed so far, leaving the engine idle. Call it between
+// phases — after a sweep's last marker — before reading or resetting
+// statistics and before DeltaTraceEnd. Phase-level skips and echoes
+// commit at their phase's last marker, but a sweep-echo record is
+// delimited by its fingerprint, not by the caller's sweeps: when two
+// phases of one sweep open with the same batch (a V-cycle's two finest
+// residuals), an echo entered at the second is still in flight when
+// the caller's sweep ends. Settle replays its verified but uncommitted
+// prefix.
+func (s *Steady) Settle() {
+	if !s.sw.echoing {
+		return
+	}
+	s.sweepEchoFlush(nil)
+	s.sw.inPhase = false
+	s.mode = steadyIdle
 }
 
 func (s *Steady) replay(runs []Run) {
@@ -1582,7 +1610,7 @@ func (s *Steady) flush(pending []Run) {
 func (s *Steady) endPhase() {
 	s.mode = steadyIdle
 	if s.curRecOK && len(s.curAnchors) == s.planes && (len(s.curPins) > 0 || s.dl.tracing) {
-		s.deltaNote(s.insertRecord())
+		s.deltaNote(s.insertRecord(), -1)
 	}
 }
 
@@ -1970,9 +1998,9 @@ func (s *Steady) echoCommit() {
 	}
 	s.skipped += uint64(s.planes - 1 - s.echoFrom)
 	s.echoes++
-	// An echoed phase is an exact repeat of the record, so the trace
-	// references the echoed slot as this phase's reproduction.
-	s.deltaNote(s.echoRec)
+	// An echoed phase repeats the record from the pin on, so the trace
+	// references the echoed slot as this phase's reproduction from there.
+	s.deltaNote(s.echoRec, s.echoFrom)
 }
 
 // echoFlush abandons an in-progress echo exactly: nothing was committed,

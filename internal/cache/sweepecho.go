@@ -580,9 +580,8 @@ func (s *Steady) sweepEchoStartAt(i, seg int) {
 	sw := &s.sw
 	if s.dl.tracing {
 		// The phase machinery sees none of an echoed sweep's phases, so a
-		// delta trace spanning one would be incomplete. (Unreachable for
-		// the bench flow — engines are fresh per point and the trace covers
-		// the very first sweep — but cheap to keep exact.)
+		// delta trace spanning one is incomplete: DeltaTraceEnd refuses it
+		// and the measured sweeps are walked.
 		s.dl.ok = false
 	}
 	sw.echoing = true

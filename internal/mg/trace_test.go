@@ -91,50 +91,112 @@ func TestTraceVCycleCountsMatchTransform(t *testing.T) {
 }
 
 // TestSteadyMultigridLevels is the differential for the level-tagged
-// phase markers: a V-cycle replayed through the steady engine must
-// produce bit-identical statistics and final cache state to a raw
-// replay, and the engine must actually detect cycles across the
-// repeated V-cycles (same-shape phases on different grid levels are
-// distinguished by the level tag, so the history does not thrash).
+// phase markers: V-cycles replayed through the steady engine must
+// produce bit-identical statistics and cache state to a raw replay at
+// every cycle end once the engine is settled, and the engine must
+// actually detect cycles across the repeated V-cycles (same-shape
+// phases on different grid levels are distinguished by the level tag,
+// so the history does not thrash). Both finest residuals of a cycle
+// open with the same batch, so a sweep echo entered at the second is
+// still in flight at the cycle end; the LM=4 tiled case is the one
+// where that echo spans a whole residual phase.
 func TestSteadyMultigridLevels(t *testing.T) {
-	const lm = 5
-	fm := (1 << lm) + 2
-	plan := core.Select(core.MethodGcdPad, 2048, fm, fm, core.Resid27pt())
-	for _, p := range []core.Plan{{}, plan} {
+	cases := []struct {
+		lm   int
+		plan core.Plan
+	}{
+		{5, core.Plan{}},
+		{5, residPlan(5, 2048, core.MethodGcdPad)},
+		{4, residPlan(4, 2048, core.MethodGcdPad)}, // tile 30×14
+	}
+	for _, tc := range cases {
 		raw := cache.MustHierarchy(cache.UltraSparc2L1(), cache.UltraSparc2L2())
 		st := cache.MustHierarchy(cache.UltraSparc2L1(), cache.UltraSparc2L2())
 		sd := cache.NewSteady(st)
-		sr := New(Params{LM: lm, Plan: p})
-		ss := New(Params{LM: lm, Plan: p})
+		sr := New(Params{LM: tc.lm, Plan: tc.plan})
+		ss := New(Params{LM: tc.lm, Plan: tc.plan})
 		for cyc := 0; cyc < 3; cyc++ {
-			sr.TraceVCycleRuns(raw)
-			sr.TraceResidRuns(raw)
-			ss.TraceVCycleRuns(sd)
-			ss.TraceResidRuns(sd)
-		}
-		for l := 0; l < 2; l++ {
-			if raw.Level(l).Stats() != st.Level(l).Stats() {
-				t.Errorf("tiled=%v L%d stats diverge: steady %+v, raw %+v",
-					p.Tiled, l+1, st.Level(l).Stats(), raw.Level(l).Stats())
-			}
-			if !raw.Level(l).StateEqual(st.Level(l)) {
-				t.Errorf("tiled=%v L%d final cache state diverges", p.Tiled, l+1)
+			sr.traceIterationRuns(raw)
+			ss.traceIterationRuns(sd)
+			sd.Settle()
+			for l := 0; l < 2; l++ {
+				if raw.Level(l).Stats() != st.Level(l).Stats() {
+					t.Errorf("LM=%d tiled=%v cycle %d: L%d stats diverge: steady %+v, raw %+v",
+						tc.lm, tc.plan.Tiled, cyc, l+1, st.Level(l).Stats(), raw.Level(l).Stats())
+				}
+				if !raw.Level(l).StateEqual(st.Level(l)) {
+					t.Errorf("LM=%d tiled=%v cycle %d: L%d cache state diverges", tc.lm, tc.plan.Tiled, cyc, l+1)
+				}
 			}
 		}
 		d := sd.Diag()
 		if d.Confirmed+d.Echoes+d.SweepEchoes == 0 {
-			t.Errorf("tiled=%v: steady engine never engaged on the V-cycle: %+v", p.Tiled, d)
+			t.Errorf("LM=%d tiled=%v: steady engine never engaged on the V-cycle: %+v", tc.lm, tc.plan.Tiled, d)
 		}
 	}
 }
 
-func TestRunSimulatedExperiment(t *testing.T) {
-	res := RunSimulatedExperiment(5, 2048, core.MethodGcdPad,
-		cache.UltraSparc2L1(), cache.UltraSparc2L2(), 1, 8, 50)
-	if res.OrigL1 <= 0 || res.OrigL1 >= 100 || res.TiledL1 <= 0 {
-		t.Fatalf("degenerate rates: %+v", res)
+// rawIteration is the oracle for simulateIteration: the warm-measure
+// protocol replayed straight into a bare hierarchy.
+func rawIteration(lm int, p core.Plan, l1, l2 cache.Config) *cache.Hierarchy {
+	s := New(Params{LM: lm, Plan: p})
+	h := cache.MustHierarchy(l1, l2)
+	s.TraceVCycleRuns(h)
+	s.TraceResidRuns(h)
+	h.ResetStats()
+	s.TraceVCycleRuns(h)
+	s.TraceResidRuns(h)
+	return h
+}
+
+// TestDeltaRunSimulatedExperiment: the experiment through the
+// steady/delta engine must equal the raw-hierarchy protocol exactly —
+// both L1 rates and the cycle-model improvement — across depths, cache
+// targets and selection methods. The raw original solver depends on
+// the depth alone, so the oracle simulates it once per depth.
+func TestDeltaRunSimulatedExperiment(t *testing.T) {
+	l1, l2 := cache.UltraSparc2L1(), cache.UltraSparc2L2()
+	maxLM := 6
+	if testing.Short() {
+		maxLM = 4
 	}
-	if res.ImprovementPct < -50 || res.ImprovementPct > 200 {
-		t.Errorf("implausible improvement %+v", res)
+	for lm := 2; lm <= maxLM; lm++ {
+		rawOrig := rawIteration(lm, core.Plan{}, l1, l2)
+		for _, cs := range []int{256, 2048} {
+			for _, m := range []core.Method{core.MethodGcdPad, core.MethodPad, core.MethodEuc3D} {
+				got := RunSimulatedExperiment(lm, cs, m, l1, l2, 1, 8, 50)
+				want := compareSimulated(rawOrig, rawIteration(lm, residPlan(lm, cs, m), l1, l2), 1, 8, 50)
+				if got != want {
+					t.Errorf("LM=%d cs=%d %v: engine %+v, raw %+v", lm, cs, m, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestDeltaSimulatedExperimentReference pins the Section 4.6 reference
+// configuration (LM=7, GcdPad, 16K L1) to the raw protocol's values and
+// requires both solvers' measured iterations to come from delta replay,
+// so a history or anchor table too small for the V-cycle fails here.
+func TestDeltaSimulatedExperimentReference(t *testing.T) {
+	if testing.Short() {
+		t.Skip("LM=7 V-cycles")
+	}
+	l1, l2 := cache.UltraSparc2L1(), cache.UltraSparc2L2()
+	orig, od := simulateIteration(7, core.Plan{}, l1, l2)
+	tiled, td := simulateIteration(7, residPlan(7, 2048, core.MethodGcdPad), l1, l2)
+	res := compareSimulated(orig, tiled, 1, 8, 50)
+	want := SimulatedExperiment{
+		OrigL1:         6.581658580675344,
+		TiledL1:        5.723933411602373,
+		ImprovementPct: 4.642566068060017,
+	}
+	if res != want {
+		t.Errorf("LM=7 GcdPad/2048: got %+v, want %+v", res, want)
+	}
+	for name, d := range map[string]cache.DeltaDiag{"orig": od, "tiled": td} {
+		if !d.Traced || d.Sweeps != 1 {
+			t.Errorf("%s solver's measured iteration was not delta-replayed: %s", name, d)
+		}
 	}
 }
