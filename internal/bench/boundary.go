@@ -47,10 +47,7 @@ func ProbeBoundary3D(cfg cache.Config, margin int, opt Options) BoundaryProbe {
 	probe := func(n int) float64 {
 		w := stencil.NewTraceWorkload(stencil.Jacobi, n, 8, core.Plan{DI: n, DJ: n})
 		h := cache.MustHierarchy(cfg) //lint:allow mustcheck -- cfg comes from validated Options
-		sink := opt.simSink(h)
-		w.ReplayTrace(sink)
-		h.ResetStats()
-		w.ReplayTrace(sink)
+		opt.warmMeasure(h, w.ReplayTrace)
 		return h.Level(0).Stats().MissRate()
 	}
 	below, above := b-margin, b+margin

@@ -92,12 +92,11 @@ func SimulateStats(k stencil.Kernel, m core.Method, n int, opt Options) SimResul
 	plan := opt.Plan(k, m, n)
 	w := stencil.NewTraceWorkload(k, n, opt.K, plan)
 	h := cacheHierarchy(opt)
-	sink := opt.simSink(h)
+	sd := opt.steady(h)
 	sweeps := opt.Sweeps
 	if sweeps <= 0 {
 		sweeps = 1
 	}
-	sd, _ := sink.(*cache.Steady)
 	if sd != nil && !opt.DisableDelta && opt.deltaDonor != nil {
 		sd.SeedDelta(opt.deltaDonor)
 	}

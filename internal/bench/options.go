@@ -268,17 +268,26 @@ func (o Options) Plan(k stencil.Kernel, m core.Method, n int) core.Plan {
 	return core.Select(m, o.CacheElems(), n, n, k.Spec())
 }
 
-// simSink wraps a hierarchy in the steady-state engine unless the
-// options disable it. Every simulation path in this package funnels its
-// replay through this helper so -steady=false reaches them all.
-func (o Options) simSink(h *cache.Hierarchy) cache.RunSink {
+// steady wraps a hierarchy in the steady-state engine, or returns nil
+// when the options disable it. Every simulation path in this package
+// picks its engine through this helper (simSinkCache for single
+// caches) so -steady=false reaches them all.
+func (o Options) steady(h *cache.Hierarchy) *cache.Steady {
 	if o.DisableSteady {
-		return h
+		return nil
 	}
 	return cache.NewSteady(h)
 }
 
-// simSinkCache is simSink for a single-level cache.
+// warmMeasure runs one warm-up sweep and one measured sweep of sweep on
+// h through the options' engine (cache.WarmMeasure), so -steady=false
+// and -delta=false reach every single-sweep experiment.
+func (o Options) warmMeasure(h *cache.Hierarchy, sweep func(cache.RunSink)) {
+	cache.WarmMeasure(h, o.steady(h), 1, !o.DisableDelta, sweep)
+}
+
+// simSinkCache wraps a single-level cache in the steady-state engine
+// unless the options disable it.
 func (o Options) simSinkCache(c *cache.Cache) cache.RunSink {
 	if o.DisableSteady {
 		return c

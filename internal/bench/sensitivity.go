@@ -82,10 +82,7 @@ func CrossInterference(n int, opt Options) CrossPoint {
 	plan := opt.Plan(k, core.MethodGcdPad, n)
 	h := func(w *stencil.Workload) float64 {
 		hh := cacheHierarchy(opt)
-		sink := opt.simSink(hh)
-		w.ReplayTrace(sink)
-		hh.ResetStats()
-		w.ReplayTrace(sink)
+		opt.warmMeasure(hh, w.ReplayTrace)
 		return hh.Level(0).Stats().MissRate()
 	}
 	def := stencil.NewTraceWorkload(k, n, opt.K, plan)

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -73,14 +74,15 @@ func TestCancelResumeByteIdentical(t *testing.T) {
 	}
 	run2 := opt
 	run2.Journal = j2
-	recomputed := 0
-	run2.pointHook = func(int) { recomputed++ }
+	// The hook runs on worker goroutines, outside the sweep's lock.
+	var recomputed atomic.Int64
+	run2.pointHook = func(int) { recomputed.Add(1) }
 	got := renderMiss(t, run2)
 	if !bytes.Equal(got, want) {
 		t.Errorf("resumed output differs from uninterrupted run:\ngot:\n%s\nwant:\n%s", got, want)
 	}
-	if wantNew := 2*len(opt.Sizes()) - j2.Resumed(); recomputed != wantNew {
-		t.Errorf("resume recomputed %d points, want %d (journal should answer the rest)", recomputed, wantNew)
+	if wantNew := 2*len(opt.Sizes()) - j2.Resumed(); recomputed.Load() != int64(wantNew) {
+		t.Errorf("resume recomputed %d points, want %d (journal should answer the rest)", recomputed.Load(), wantNew)
 	}
 }
 

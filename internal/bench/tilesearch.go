@@ -54,10 +54,7 @@ func ExhaustiveTileSearch(k stencil.Kernel, n int, opt Options) (cands []TileCan
 		plan := core.Plan{Tile: t, DI: n, DJ: n, Tiled: true}
 		w := stencil.NewTraceWorkload(k, n, opt.K, plan)
 		h := cacheHierarchy(opt)
-		sink := opt.simSink(h)
-		w.ReplayTrace(sink)
-		h.ResetStats()
-		w.ReplayTrace(sink)
+		opt.warmMeasure(h, w.ReplayTrace)
 		cands[i] = TileCandidate{Tile: t, L1: h.Level(0).Stats().MissRate()}
 	})
 	for i, c := range cands {

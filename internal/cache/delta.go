@@ -137,15 +137,14 @@ func (s *Steady) DeltaTraceBegin() {
 }
 
 // DeltaTraceEnd disarms capture and reports whether a complete trace
-// was obtained: the engine must be idle (settled, no phase in flight),
-// and every phase begun while tracing must have committed a ref. Phases
-// that ended without archiving (live-mode abort, over-long units) leave
+// was obtained: the engine must be idle (no phase in flight), and every
+// phase begun while tracing must have committed a ref. Phases that
+// ended without archiving (live-mode abort, over-long units) leave
 // starts > len(refs) and fail the reconciliation.
 func (s *Steady) DeltaTraceEnd() bool {
 	d := &s.dl
 	d.tracing = false
-	d.traced = d.ok && s.mode == steadyIdle && !s.sw.echoing &&
-		d.starts > 0 && d.starts == len(d.refs)
+	d.traced = d.ok && s.mode == steadyIdle && d.starts > 0 && d.starts == len(d.refs)
 	d.diag.Traced = d.traced
 	return d.traced
 }
@@ -209,7 +208,7 @@ const deltaPinBudget = 64
 // sweeps (engine idle) after a successful DeltaTraceEnd.
 func (s *Steady) ReplayDeltaSweep() bool {
 	d := &s.dl
-	if !d.traced || s.mode != steadyIdle || s.sw.echoing || s.sw.inPhase {
+	if !d.traced || s.mode != steadyIdle {
 		return false
 	}
 	if !s.deltaRefsValid() {
@@ -498,7 +497,7 @@ func (s *Steady) SeedDelta(dn *DeltaDonor) bool {
 	if dn == nil || len(dn.recs) == 0 || len(dn.recs) > steadyHistory {
 		return false
 	}
-	if s.mode != steadyIdle || s.nAnchors != 0 || s.histSeq != 0 || s.sw.recording || s.sw.echoing {
+	if s.mode != steadyIdle || s.nAnchors != 0 || s.histSeq != 0 {
 		return false
 	}
 	if len(dn.sets) != len(s.levels) {

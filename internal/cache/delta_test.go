@@ -302,7 +302,6 @@ func TestDeltaEchoedPhaseChain(t *testing.T) {
 	raw, st, sd := newDeltaPair()
 	sd.DeltaTraceBegin()
 	sweep(sd)
-	sd.Settle()
 	if !sd.DeltaTraceEnd() {
 		t.Fatalf("warm sweep did not produce a complete trace: %s", sd.DeltaInfo())
 	}

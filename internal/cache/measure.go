@@ -11,9 +11,10 @@ package cache
 // wrap h and every sweep goes through the engine. With delta set the
 // warm-up is traced and each measured sweep is reproduced from the
 // trace by ReplayDeltaSweep, walking the workload only when the replay
-// refuses. The engine is settled before the trace closes, before the
-// statistics reset and after the last measured sweep, so on return h's
-// statistics and state equal a raw replay of the same sweeps.
+// refuses. The engine commits every skip and echo at its own phase's
+// last marker, so at each sweep end — where the trace closes and the
+// statistics reset — and on return, h's statistics and state equal a
+// raw replay of the same sweeps.
 //
 // It reports whether the warm-up left a complete delta trace, the
 // precondition of ExportDelta.
@@ -30,7 +31,6 @@ func WarmMeasure(h *Hierarchy, sd *Steady, sweeps int, delta bool, sweep func(Ru
 		sd.DeltaTraceBegin()
 	}
 	sweep(sd)
-	sd.Settle()
 	traced := delta && sd.DeltaTraceEnd()
 	h.ResetStats()
 	for i := 0; i < sweeps; i++ {
@@ -39,6 +39,5 @@ func WarmMeasure(h *Hierarchy, sd *Steady, sweeps int, delta bool, sweep func(Ru
 		}
 		sweep(sd)
 	}
-	sd.Settle()
 	return traced
 }

@@ -2,13 +2,54 @@ package cache
 
 import "testing"
 
-// echoCycle is a stream whose sweep-echo records straddle its own sweep
+// emitPhase replays one synthetic phase into a sink: planes units,
+// unit i's stream produced by unitRuns(i), each followed by its marker.
+func emitPhase(sink RunSink, planes int, delta int64, unitRuns func(i int) []Run) {
+	for i := 0; i < planes; i++ {
+		sink.ReplayRuns(unitRuns(i))
+		MarkPlane(sink, PlaneMark{Delta: delta, Index: i, Planes: planes})
+	}
+}
+
+// readUnit builds a unit stream of `repeat` sequential read passes over
+// `lines` cache lines starting at base (stride 8, the element size).
+func readUnit(base int64, lines, repeat int) []Run {
+	runs := make([]Run, repeat)
+	for r := range runs {
+		runs[r] = Run{Base: base, Stride: 8, Count: int32(lines * 4)} // 4 accesses per 32B line
+	}
+	return runs
+}
+
+// refusedSweep emits one synthetic "sweep": two 2-plane phases over
+// disjoint regions. The per-phase engine refuses 2-plane phases for
+// plane-cycle detection, so their repeats are reproduced, if at all,
+// only from phase records.
+func refusedSweep(sink RunSink) {
+	emitPhase(sink, 2, 32, func(i int) []Run {
+		return readUnit(int64(i)*32, 8, 4)
+	})
+	emitPhase(sink, 2, 32, func(i int) []Run {
+		return readUnit(4096+int64(i)*32, 8, 4)
+	})
+}
+
+// scopedPhase emits one long frontier-marching phase: each of 48 units
+// makes 512 accesses over 8 lines, then the next unit shifts forward
+// one line. Its units are far too small for the default budget gate to
+// afford whole-state snapshots, so detection refuses it.
+func scopedPhase(sink RunSink) {
+	emitPhase(sink, 48, 32, func(i int) []Run {
+		return readUnit(int64(i)*32, 8, 16)
+	})
+}
+
+// echoCycle is a stream whose phases repeat across its own cycle
 // boundaries, as a V-cycle's do: phase X opens both the second and the
-// fourth phase of every cycle, so the recorder delimits sweeps at X and
-// an echo entered at the second X runs on into the next cycle. Every
-// phase is a single Δ=0 unit, which the phase machinery leaves alone,
-// and rewrites every set (cachePhase), so the echo's entry states match
-// from the second cycle on.
+// fourth phase of every cycle. Every phase is a single Δ=0 unit, which
+// the phase machinery leaves alone, and rewrites every set
+// (cachePhase), so the cycle's entry states match from the second
+// cycle on.
 func echoCycle(sink RunSink) {
 	cachePhase(sink, 0, 1, 0)     // A
 	cachePhase(sink, 1<<22, 1, 0) // X
@@ -17,22 +58,20 @@ func echoCycle(sink RunSink) {
 }
 
 // TestSteadySelfCheckSettles: SelfCheck's ResetStats and Check fall on
-// cycle ends, where a sweep echo is in flight; both must settle it
-// first, or the reset lands mid-echo and the check compares stats the
-// echo has not committed yet.
+// cycle ends of echoCycle. The engine commits every skip and echo at
+// its own phase's last marker, so it is settled there with no extra
+// step: the reset must not land mid-phase and every check must compare
+// final statistics and state.
 func TestSteadySelfCheckSettles(t *testing.T) {
 	sc := NewSelfCheck(MustHierarchy(UltraSparc2L1(), UltraSparc2L2()))
 	echoCycle(sc)
 	echoCycle(sc)
-	if !sc.Steady.sw.echoing {
-		t.Fatal("setup: no sweep echo in flight at the cycle end")
+	if err := sc.Check(); err != nil {
+		t.Fatalf("cycle 2: %v", err)
 	}
 	sc.ResetStats()
 	for c := 0; c < 2; c++ {
 		echoCycle(sc)
-		if !sc.Steady.sw.echoing {
-			t.Fatalf("setup: cycle %d ends with no sweep echo in flight", c+3)
-		}
 		if err := sc.Check(); err != nil {
 			t.Fatalf("cycle %d: %v", c+3, err)
 		}
@@ -42,13 +81,20 @@ func TestSteadySelfCheckSettles(t *testing.T) {
 // TestSteadyWarmMeasure: the warm-measure driver must leave statistics
 // and state equal to the raw protocol — warm-up, reset, measured sweeps
 // — with the engine off, with delta replay off, and with delta replay
-// on, both for a stream whose trace replays (deltaSweep) and for one
-// whose measured sweeps end with a sweep echo in flight (echoCycle).
+// on. The streams cover a trace that replays (deltaSweep), phases that
+// repeat across sweep boundaries (echoCycle), phases plane-cycle
+// detection refuses for too few planes (refusedSweep) and for too
+// little work per unit (scopedPhase).
 func TestSteadyWarmMeasure(t *testing.T) {
 	streams := []struct {
 		name  string
 		sweep func(RunSink)
-	}{{"phases", deltaSweep}, {"echo", echoCycle}}
+	}{
+		{"phases", deltaSweep},
+		{"echo", echoCycle},
+		{"refused", refusedSweep},
+		{"scoped", scopedPhase},
+	}
 	for _, tc := range streams {
 		for sweeps := 1; sweeps <= 3; sweeps++ {
 			raw := MustHierarchy(UltraSparc2L1(), UltraSparc2L2())
@@ -72,5 +118,68 @@ func TestSteadyWarmMeasure(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestSweepEchoRefusedPhases drives repeated identical sweeps of
+// refused phases through a single steady-wrapped cache — one warm-up
+// sweep, a stats reset, then measured sweeps, as the bench harness
+// does — and checks that statistics and final state stay exactly equal
+// to a raw replay while no 2-plane phase confirms a cycle.
+func TestSweepEchoRefusedPhases(t *testing.T) {
+	cfg := Config{SizeBytes: 1024, LineBytes: 32, Assoc: 1} // 32 sets
+	const sweeps = 6
+
+	c := MustNew(cfg)
+	st := NewSteadyCache(c)
+	refusedSweep(st)
+	c.ResetStats()
+	for i := 0; i < sweeps; i++ {
+		refusedSweep(st)
+	}
+
+	raw := MustNew(cfg)
+	refusedSweep(raw)
+	raw.ResetStats()
+	for i := 0; i < sweeps; i++ {
+		refusedSweep(raw)
+	}
+
+	if c.Stats() != raw.Stats() {
+		t.Errorf("stats diverged: steady %+v raw %+v", c.Stats(), raw.Stats())
+	}
+	if !c.StateEqual(raw) {
+		t.Error("final cache state diverged from raw replay")
+	}
+	if d := st.Diag(); d.Confirmed != 0 {
+		t.Errorf("2-plane phases must not confirm a cycle: %s", d)
+	}
+}
+
+// TestSteadyFootprintRescue checks the budget gate end to end on a
+// 512-set L1: scopedPhase's whole-state snapshot costs 512 slots, more
+// than twice its 512 accesses per unit can amortize. The engine has no
+// footprint scoping to rescue such a phase, so the gate must refuse it,
+// and the result must stay bit-identical to a raw replay.
+func TestSteadyFootprintRescue(t *testing.T) {
+	cfg := Config{SizeBytes: 16 << 10, LineBytes: 32, Assoc: 1} // 512 sets
+	raw := MustNew(cfg)
+	scopedPhase(raw)
+
+	c := MustNew(cfg)
+	st := NewSteadyCache(c)
+	scopedPhase(st)
+	if c.Stats() != raw.Stats() {
+		t.Errorf("stats diverged: steady %+v raw %+v", c.Stats(), raw.Stats())
+	}
+	if !c.StateEqual(raw) {
+		t.Error("final state diverged from raw replay")
+	}
+	d := st.Diag()
+	if d.Confirmed != 0 {
+		t.Errorf("unaffordable phase confirmed a cycle: %s", d)
+	}
+	if d.RefusedBudget == 0 {
+		t.Errorf("unaffordable phase was not refused by the budget gate: %s", d)
 	}
 }

@@ -52,11 +52,8 @@ func (s *SelfCheck) PlaneMark(m PlaneMark) {
 }
 
 // ResetStats zeroes statistics on both engines, preserving cache state —
-// the warm-up/measure boundary of an experiment point. The steady
-// engine is settled first, so no in-flight echo commits across the
-// reset.
+// the warm-up/measure boundary of an experiment point.
 func (s *SelfCheck) ResetStats() {
-	s.Steady.Settle()
 	s.main.ResetStats()
 	s.shadow.ResetStats()
 }
@@ -64,10 +61,10 @@ func (s *SelfCheck) ResetStats() {
 // Check compares the steady-engine hierarchy against the full-replay
 // shadow: per-level statistics must be identical and every level must
 // hold the same lines (same dirty bits, same LRU order). A non-nil error
-// means the steady engine extrapolated incorrectly for this stream. The
-// steady engine is settled first (see Steady.Settle).
+// means the steady engine extrapolated incorrectly for this stream.
+// Call it between phases: the engine commits skips and echoes at their
+// phase's last marker.
 func (s *SelfCheck) Check() error {
-	s.Steady.Settle()
 	for i, c := range s.main.levels {
 		sh := s.shadow.levels[i]
 		if c.stats != sh.stats {

@@ -93,13 +93,10 @@ func TestTraceVCycleCountsMatchTransform(t *testing.T) {
 // TestSteadyMultigridLevels is the differential for the level-tagged
 // phase markers: V-cycles replayed through the steady engine must
 // produce bit-identical statistics and cache state to a raw replay at
-// every cycle end once the engine is settled, and the engine must
-// actually detect cycles across the repeated V-cycles (same-shape
-// phases on different grid levels are distinguished by the level tag,
-// so the history does not thrash). Both finest residuals of a cycle
-// open with the same batch, so a sweep echo entered at the second is
-// still in flight at the cycle end; the LM=4 tiled case is the one
-// where that echo spans a whole residual phase.
+// every cycle end, and the engine must actually detect cycles across
+// the repeated V-cycles (same-shape phases on different grid levels
+// are distinguished by the level tag, so the history does not
+// thrash).
 func TestSteadyMultigridLevels(t *testing.T) {
 	cases := []struct {
 		lm   int
@@ -118,7 +115,6 @@ func TestSteadyMultigridLevels(t *testing.T) {
 		for cyc := 0; cyc < 3; cyc++ {
 			sr.traceIterationRuns(raw)
 			ss.traceIterationRuns(sd)
-			sd.Settle()
 			for l := 0; l < 2; l++ {
 				if raw.Level(l).Stats() != st.Level(l).Stats() {
 					t.Errorf("LM=%d tiled=%v cycle %d: L%d stats diverge: steady %+v, raw %+v",
@@ -130,7 +126,7 @@ func TestSteadyMultigridLevels(t *testing.T) {
 			}
 		}
 		d := sd.Diag()
-		if d.Confirmed+d.Echoes+d.SweepEchoes == 0 {
+		if d.Confirmed+d.Echoes == 0 {
 			t.Errorf("LM=%d tiled=%v: steady engine never engaged on the V-cycle: %+v", tc.lm, tc.plan.Tiled, d)
 		}
 	}

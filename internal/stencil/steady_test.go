@@ -29,8 +29,8 @@ func steadyCompare(t *testing.T, label string, w *stencil.Workload, sweeps int, 
 }
 
 // steadyCompareTuned is steadyCompare with a hook to configure the
-// steady engine (gate, footprints, sweep echo) before replay; a nil
-// tune leaves the production defaults in place.
+// steady engine's detection gate before replay; a nil tune leaves the
+// production defaults in place.
 func steadyCompareTuned(t *testing.T, label string, w *stencil.Workload, sweeps int, tune func(*cache.Steady), cfgs ...cache.Config) uint64 {
 	t.Helper()
 	full := cache.MustHierarchy(cfgs...)
@@ -99,11 +99,9 @@ func TestSteadyDifferentialKernels(t *testing.T) {
 // TestSteadyDifferentialAllMethods is the production-path differential:
 // every kernel under every paper method, with the REAL selection plans
 // (core.Select against a scaled cache) and the engine's production
-// gate — MinUnitAccesses zero, so the default budget gate, the
-// footprint rescue and the sweep-echo layer all run exactly as the
-// bench harness runs them. Each configuration is also replayed with
-// footprints and sweep echo disabled: all three must be bit-identical
-// to full replay.
+// gate — MinUnitAccesses zero, so the default budget gate and
+// cross-phase echo run exactly as the bench harness runs them. Every
+// configuration must be bit-identical to full replay.
 func TestSteadyDifferentialAllMethods(t *testing.T) {
 	cfgs := []cache.Config{
 		{SizeBytes: 4 << 10, LineBytes: 32},
@@ -122,10 +120,6 @@ func TestSteadyDifferentialAllMethods(t *testing.T) {
 			label := k.String() + "/" + m.String()
 			w := stencil.NewTraceWorkload(k, n, depth, plan)
 			skipped += steadyCompareTuned(t, label, w, sweeps, nil, cfgs...)
-			steadyCompareTuned(t, label+"/nofoot", w, sweeps, func(st *cache.Steady) {
-				st.DisableFootprints = true
-				st.DisableSweepEcho = true
-			}, cfgs...)
 		}
 	}
 	if skipped == 0 {
@@ -194,7 +188,7 @@ func TestSteadyRandomGeometry(t *testing.T) {
 		w := stencil.NewTraceWorkload(k, n, depth, plan)
 		steadyCompare(t, k.String()+"/random", w, 2, cfgs...)
 		// Same geometry under the production gate (default budget,
-		// footprint rescue, sweep echo): must also be exact.
+		// cross-phase echo): must also be exact.
 		steadyCompareTuned(t, k.String()+"/random-prod", w, 2, nil, cfgs...)
 	}
 }
