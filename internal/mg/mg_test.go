@@ -249,48 +249,160 @@ func TestInterpTrilinear(t *testing.T) {
 	}
 }
 
+// noiseGrid returns an m^3 grid with leading dimensions (di, dj), its
+// logical elements pseudo-random and its padding set to a sentinel no
+// operator may read.
+func noiseGrid(m, di, dj int, seed uint64) *grid.Grid3D {
+	g := grid.Must3DPadded(m, m, m, di, dj)
+	g.Fill(1e30)
+	g.FillFunc(func(i, j, k int) float64 {
+		h := seed*0x9E3779B97F4A7C15 ^ uint64(i)*0xBF58476D1CE4E5B9 ^
+			uint64(j)*0x94D049BB133111EB ^ uint64(k)*0xD6E8FEB86659FD93
+		h ^= h >> 31
+		h *= 0x9E3779B97F4A7C15
+		h ^= h >> 29
+		// A full random mantissa at exponents -4..-1, either sign: sums
+		// of such values round, so a reordered sum gives other bits.
+		v := math.Ldexp(1+float64(h>>12)/(1<<52), -1-int(h>>1&3))
+		if h&1 == 1 {
+			v = -v
+		}
+		return v
+	})
+	return g
+}
+
+// levelPair is a fine level of extent fm with leading dimensions (di, dj)
+// over its unpadded coarse level of extent cm.
+type levelPair struct{ fm, cm, di, dj int }
+
+// levelPairs are the level pairs at LM 2..4, each with the fine level
+// unpadded and padded as a tiled solver's finest level is.
+func levelPairs() []levelPair {
+	var ps []levelPair
+	for lm := 2; lm <= 4; lm++ {
+		fm, cm := (1<<lm)+2, (1<<(lm-1))+2
+		ps = append(ps, levelPair{fm, cm, fm, fm}, levelPair{fm, cm, fm + 13, fm + 5})
+	}
+	return ps
+}
+
+// TestPsinvMatchesDefinition pins psinv, untiled and tiled, bit for bit
+// against the smoother evaluated point by point in the kernel's operand
+// order: center, faces, edges, corners.
 func TestPsinvMatchesDefinition(t *testing.T) {
-	u := grid.New3D(6, 6, 6)
-	r := grid.New3D(6, 6, 6)
-	r.FillFunc(func(i, j, k int) float64 { return float64(i + 2*j + 4*k) })
-	c := [4]float64{-0.375, 1.0 / 32, -1.0 / 64, 0}
-	ref := func(i, j, k int) float64 {
-		var face, edge, corner float64
-		for di := -1; di <= 1; di++ {
-			for dj := -1; dj <= 1; dj++ {
-				for dk := -1; dk <= 1; dk++ {
-					d := abs(di) + abs(dj) + abs(dk)
-					v := r.At(i+di, j+dj, k+dk)
-					switch d {
-					case 1:
-						face += v
-					case 2:
-						edge += v
-					case 3:
-						corner += v
-					}
+	c := [4]float64{-0.375, 1.0 / 32, -1.0 / 64, 0.01}
+	for _, p := range levelPairs() {
+		m := p.fm
+		r := noiseGrid(m, p.di, p.dj, 1)
+		want := noiseGrid(m, p.di, p.dj, 2)
+		at := r.At
+		for k := 1; k <= m-2; k++ {
+			for j := 1; j <= m-2; j++ {
+				for i := 1; i <= m-2; i++ {
+					want.Set(i, j, k, want.At(i, j, k)+(c[0]*at(i, j, k)+
+						c[1]*(at(i-1, j, k)+at(i+1, j, k)+
+							at(i, j-1, k)+at(i, j+1, k)+
+							at(i, j, k-1)+at(i, j, k+1))+
+						c[2]*(at(i-1, j-1, k)+at(i+1, j-1, k)+
+							at(i-1, j+1, k)+at(i+1, j+1, k)+
+							at(i, j-1, k-1)+at(i, j+1, k-1)+
+							at(i, j-1, k+1)+at(i, j+1, k+1)+
+							at(i-1, j, k-1)+at(i+1, j, k-1)+
+							at(i-1, j, k+1)+at(i+1, j, k+1))+
+						c[3]*(at(i-1, j-1, k-1)+at(i+1, j-1, k-1)+
+							at(i-1, j+1, k-1)+at(i+1, j+1, k-1)+
+							at(i-1, j-1, k+1)+at(i+1, j-1, k+1)+
+							at(i-1, j+1, k+1)+at(i+1, j+1, k+1))))
 				}
 			}
 		}
-		return c[0]*r.At(i, j, k) + c[1]*face + c[2]*edge + c[3]*corner
-	}
-	psinv(u, r, c)
-	for k := 1; k <= 4; k++ {
-		for j := 1; j <= 4; j++ {
-			for i := 1; i <= 4; i++ {
-				if got, want := u.At(i, j, k), ref(i, j, k); math.Abs(got-want) > 1e-12 {
-					t.Fatalf("psinv(%d,%d,%d) = %g, want %g", i, j, k, got, want)
-				}
+		u := noiseGrid(m, p.di, p.dj, 2)
+		psinv(u, r, c)
+		if d := u.MaxAbsDiff(want); d != 0 {
+			t.Errorf("m=%d di=%d: psinv differs from its definition by %g", m, p.di, d)
+		}
+		for _, tile := range [][2]int{{1, 1}, {3, 2}, {5, 7}} {
+			u := noiseGrid(m, p.di, p.dj, 2)
+			psinvTiled(u, r, c, tile[0], tile[1])
+			if d := u.MaxAbsDiff(want); d != 0 {
+				t.Errorf("m=%d di=%d tile %v: psinvTiled differs from its definition by %g", m, p.di, tile, d)
 			}
 		}
 	}
 }
 
-func abs(x int) int {
-	if x < 0 {
-		return -x
+// TestRprj3MatchesPointReference pins the restriction bit for bit against
+// its full-weighting sum evaluated point by point in the kernel's order.
+func TestRprj3MatchesPointReference(t *testing.T) {
+	for _, p := range levelPairs() {
+		fine := noiseGrid(p.fm, p.di, p.dj, 3)
+		f := fine.At
+		want := noiseGrid(p.cm, p.cm, p.cm, 4)
+		for k := 1; k <= p.cm-2; k++ {
+			for j := 1; j <= p.cm-2; j++ {
+				for i := 1; i <= p.cm-2; i++ {
+					x, y, z := 2*i, 2*j, 2*k
+					want.Set(i, j, k, 0.5*f(x, y, z)+
+						0.25*(f(x-1, y, z)+f(x+1, y, z)+
+							f(x, y-1, z)+f(x, y+1, z)+
+							f(x, y, z-1)+f(x, y, z+1))+
+						0.125*(f(x-1, y-1, z)+f(x+1, y-1, z)+
+							f(x-1, y+1, z)+f(x+1, y+1, z)+
+							f(x, y-1, z-1)+f(x, y+1, z-1)+
+							f(x, y-1, z+1)+f(x, y+1, z+1)+
+							f(x-1, y, z-1)+f(x+1, y, z-1)+
+							f(x-1, y, z+1)+f(x+1, y, z+1))+
+						0.0625*(f(x-1, y-1, z-1)+f(x+1, y-1, z-1)+
+							f(x-1, y+1, z-1)+f(x+1, y+1, z-1)+
+							f(x-1, y-1, z+1)+f(x+1, y-1, z+1)+
+							f(x-1, y+1, z+1)+f(x+1, y+1, z+1)))
+				}
+			}
+		}
+		coarse := noiseGrid(p.cm, p.cm, p.cm, 4)
+		rprj3(coarse, fine)
+		if d := coarse.MaxAbsDiff(want); d != 0 {
+			t.Errorf("fine m=%d di=%d: rprj3 differs from its definition by %g", p.fm, p.di, d)
+		}
 	}
-	return x
+}
+
+// TestInterpMatchesPointReference pins the prolongation bit for bit
+// against the trilinear average added point by point. Every fine point
+// receives one addition per call, so the reference may visit the fine
+// points in any order.
+func TestInterpMatchesPointReference(t *testing.T) {
+	for _, p := range levelPairs() {
+		coarse := noiseGrid(p.cm, p.cm, p.cm, 5)
+		want := noiseGrid(p.fm, p.di, p.dj, 6)
+		for k := 0; k <= p.cm-2; k++ {
+			for j := 0; j <= p.cm-2; j++ {
+				for i := 0; i <= p.cm-2; i++ {
+					u := func(di, dj, dk int) float64 { return coarse.At(i+di, j+dj, k+dk) }
+					u000, u100, u010, u110 := u(0, 0, 0), u(1, 0, 0), u(0, 1, 0), u(1, 1, 0)
+					u001, u101, u011, u111 := u(0, 0, 1), u(1, 0, 1), u(0, 1, 1), u(1, 1, 1)
+					add := func(di, dj, dk int, v float64) {
+						x, y, z := 2*i+di, 2*j+dj, 2*k+dk
+						want.Set(x, y, z, want.At(x, y, z)+v)
+					}
+					add(0, 0, 0, u000)
+					add(1, 0, 0, 0.5*(u000+u100))
+					add(0, 1, 0, 0.5*(u000+u010))
+					add(1, 1, 0, 0.25*(u000+u100+u010+u110))
+					add(0, 0, 1, 0.5*(u000+u001))
+					add(1, 0, 1, 0.25*(u000+u100+u001+u101))
+					add(0, 1, 1, 0.25*(u000+u010+u001+u011))
+					add(1, 1, 1, 0.125*(u000+u100+u010+u110+u001+u101+u011+u111))
+				}
+			}
+		}
+		fine := noiseGrid(p.fm, p.di, p.dj, 6)
+		interp(fine, coarse)
+		if d := fine.MaxAbsDiff(want); d != 0 {
+			t.Errorf("fine m=%d di=%d: interp differs from its definition by %g", p.fm, p.di, d)
+		}
+	}
 }
 
 func TestSetRHSResets(t *testing.T) {

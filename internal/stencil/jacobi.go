@@ -33,22 +33,35 @@ func JacobiTiled(a, b *grid.Grid3D, c float64, ti, tj int) {
 }
 
 // jacobiRow updates a(iLo..iHi, j, k). Factoring the innermost loop keeps
-// the original and tiled variants bit-identical and lets the compiler hoist
-// the row base addresses.
+// the original and tiled variants bit-identical. Each operand row is
+// sliced once (b(i-1, j, k) as im, b(i, j-1, k) as jm, ...), so the
+// element loop indexes views of equal length and needs no bounds check.
 func jacobiRow(a, b *grid.Grid3D, c float64, iLo, iHi, j, k int) {
-	bd := b.Data
-	ad := a.Data
-	r0 := b.Index(0, j, k)
-	rjm := b.Index(0, j-1, k)
-	rjp := b.Index(0, j+1, k)
-	rkm := b.Index(0, j, k-1)
-	rkp := b.Index(0, j, k+1)
-	ra := a.Index(0, j, k)
-	for i := iLo; i <= iHi; i++ {
-		ad[ra+i] = c * (bd[r0+i-1] + bd[r0+i+1] +
-			bd[rjm+i] + bd[rjp+i] +
-			bd[rkm+i] + bd[rkp+i])
+	n := iHi - iLo + 1
+	if n <= 0 {
+		return
 	}
+	im := rowView(b, iLo-1, n, j, k)
+	ip := rowView(b, iLo+1, n, j, k)
+	jm := rowView(b, iLo, n, j-1, k)
+	jp := rowView(b, iLo, n, j+1, k)
+	km := rowView(b, iLo, n, j, k-1)
+	kp := rowView(b, iLo, n, j, k+1)
+	out := rowView(a, iLo, n, j, k)
+	for x := range out {
+		out[x] = c * (im[x] + ip[x] +
+			jm[x] + jp[x] +
+			km[x] + kp[x])
+	}
+}
+
+// rowView returns the n elements g(i..i+n-1, j, k) as a slice. The slice
+// expression is the row kernels' bounds check: it panics if the row
+// leaves g's storage, and once it holds, an element loop over views of
+// one length is provably in range.
+func rowView(g *grid.Grid3D, i, n, j, k int) []float64 {
+	o := g.Index(i, j, k)
+	return g.Data[o : o+n]
 }
 
 // Jacobi2DOrig performs one sweep of the 2D Jacobi nest (Figure 1), used

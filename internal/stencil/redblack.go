@@ -12,18 +12,23 @@ import "tiling3d/internal/grid"
 // updates read only new red values, in the same per-point operand order.
 
 // redBlackRow updates every point of the required color in the row
-// (iStart..iHi step 2, j, k).
+// (iStart..iHi step 2, j, k). The center row is viewed from iStart-1, so a
+// point and its two i-neighbors are ctr[x+1], ctr[x] and ctr[x+2]; the
+// other four neighbor rows are viewed from iStart.
 func redBlackRow(a *grid.Grid3D, c1, c2 float64, iStart, iHi, j, k int) {
-	d := a.Data
-	r0 := a.Index(0, j, k)
-	rjm := a.Index(0, j-1, k)
-	rjp := a.Index(0, j+1, k)
-	rkm := a.Index(0, j, k-1)
-	rkp := a.Index(0, j, k+1)
-	for i := iStart; i <= iHi; i += 2 {
-		d[r0+i] = c1*d[r0+i] + c2*(d[r0+i-1]+d[rjm+i]+
-			d[r0+i+1]+d[rjp+i]+
-			d[rkm+i]+d[rkp+i])
+	n := iHi - iStart + 1
+	if n <= 0 {
+		return // a skewed tile can start past its last column
+	}
+	ctr := rowView(a, iStart-1, n+2, j, k)
+	jm := rowView(a, iStart, n, j-1, k)
+	jp := rowView(a, iStart, n, j+1, k)
+	km := rowView(a, iStart, n, j, k-1)
+	kp := rowView(a, iStart, n, j, k+1)
+	for x := 0; x < n; x += 2 {
+		ctr[x+1] = c1*ctr[x+1] + c2*(ctr[x]+jm[x]+
+			ctr[x+2]+jp[x]+
+			km[x]+kp[x])
 	}
 }
 

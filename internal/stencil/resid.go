@@ -33,37 +33,44 @@ func ResidTiled(r, v, u *grid.Grid3D, a [4]float64, t1, t2 int) {
 }
 
 // residRow updates r(lo..hi, i2, i3). The operand grouping matches the
-// Fortran source exactly so that all variants are bit-identical.
+// Fortran source exactly so that all variants are bit-identical. Each of
+// the nine (i2, i3) neighbor rows of u is viewed from lo-1, so its
+// u(i1-1), u(i1) and u(i1+1) are view[x], view[x+1] and view[x+2]. Nine
+// views of one length keep the element loop's bounds checks to three
+// shared ones; 27 one-offset views would need none but spill registers.
 func residRow(r, v, u *grid.Grid3D, a [4]float64, lo, hi, i2, i3 int) {
-	ud, vd, rd := u.Data, v.Data, r.Data
-	// Row base offsets for the nine (i2, i3) neighbor rows.
-	c00 := u.Index(0, i2, i3)   // (  , i2  , i3  )
-	cm0 := u.Index(0, i2-1, i3) // (  , i2-1, i3  )
-	cp0 := u.Index(0, i2+1, i3)
-	c0m := u.Index(0, i2, i3-1)
-	c0p := u.Index(0, i2, i3+1)
-	cmm := u.Index(0, i2-1, i3-1)
-	cpm := u.Index(0, i2+1, i3-1)
-	cmp := u.Index(0, i2-1, i3+1)
-	cpp := u.Index(0, i2+1, i3+1)
-	rv := v.Index(0, i2, i3)
-	rr := r.Index(0, i2, i3)
+	n := hi - lo + 1
+	if n <= 0 {
+		return
+	}
+	w := n + 2
+	u00 := rowView(u, lo-1, w, i2, i3)   // (  , i2  , i3  )
+	um0 := rowView(u, lo-1, w, i2-1, i3) // (  , i2-1, i3  )
+	up0 := rowView(u, lo-1, w, i2+1, i3)
+	u0m := rowView(u, lo-1, w, i2, i3-1)
+	u0p := rowView(u, lo-1, w, i2, i3+1)
+	umm := rowView(u, lo-1, w, i2-1, i3-1)
+	upm := rowView(u, lo-1, w, i2+1, i3-1)
+	ump := rowView(u, lo-1, w, i2-1, i3+1)
+	upp := rowView(u, lo-1, w, i2+1, i3+1)
+	vv := rowView(v, lo, n, i2, i3)
+	out := rowView(r, lo, n, i2, i3)
 	a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
-	for i1 := lo; i1 <= hi; i1++ {
-		rd[rr+i1] = vd[rv+i1] -
-			a0*ud[c00+i1] -
-			a1*(ud[c00+i1-1]+ud[c00+i1+1]+
-				ud[cm0+i1]+ud[cp0+i1]+
-				ud[c0m+i1]+ud[c0p+i1]) -
-			a2*(ud[cm0+i1-1]+ud[cm0+i1+1]+
-				ud[cp0+i1-1]+ud[cp0+i1+1]+
-				ud[cmm+i1]+ud[cpm+i1]+
-				ud[cmp+i1]+ud[cpp+i1]+
-				ud[c0m+i1-1]+ud[c0p+i1-1]+
-				ud[c0m+i1+1]+ud[c0p+i1+1]) -
-			a3*(ud[cmm+i1-1]+ud[cmm+i1+1]+
-				ud[cpm+i1-1]+ud[cpm+i1+1]+
-				ud[cmp+i1-1]+ud[cmp+i1+1]+
-				ud[cpp+i1-1]+ud[cpp+i1+1])
+	for x := range out {
+		out[x] = vv[x] -
+			a0*u00[x+1] -
+			a1*(u00[x]+u00[x+2]+
+				um0[x+1]+up0[x+1]+
+				u0m[x+1]+u0p[x+1]) -
+			a2*(um0[x]+um0[x+2]+
+				up0[x]+up0[x+2]+
+				umm[x+1]+upm[x+1]+
+				ump[x+1]+upp[x+1]+
+				u0m[x]+u0p[x]+
+				u0m[x+2]+u0p[x+2]) -
+			a3*(umm[x]+umm[x+2]+
+				upm[x]+upm[x+2]+
+				ump[x]+ump[x+2]+
+				upp[x]+upp[x+2])
 	}
 }
