@@ -64,9 +64,8 @@ func main() {
 		quick      = flag.Bool("quick", false, "shrink sweeps for a fast smoke run")
 		withPerf   = flag.Bool("perf", true, "include native wall-clock measurements")
 		workers    = flag.Int("workers", cache.DefaultWorkers(), "simulation worker goroutines (results are identical for any count)")
-		steady     = flag.Bool("steady", true, "steady-state plane-cycle detection (identical results; -steady=false simulates every plane)")
+		steady     = flag.Bool("steady", true, "steady-state engine: plane-cycle detection, and measured sweeps replayed from the traced warm-up (identical results; -steady=false simulates every plane of every sweep)")
 		warmShare  = flag.Bool("warmshare", true, "share results between sweep points with identical selection plans (identical results; -warmshare=false simulates every point)")
-		delta      = flag.Bool("delta", true, "cross-point delta simulation: trace each point's warm sweep into phase records, replay measured sweeps from them, and seed plan-identical neighbors (identical results; -delta=false replays every sweep)")
 		verbose    = flag.Bool("v", false, "per-point diagnostics on stderr: how each sweep point was resolved (simulated/shared/degraded) and steady-engine counters")
 		checkpoint = flag.String("checkpoint", "", "journal completed simulation points to this file (JSONL)")
 		resume     = flag.Bool("resume", false, "with -checkpoint: load already-completed points instead of recomputing them")
@@ -106,7 +105,6 @@ func main() {
 	opt.Workers = *workers
 	opt.DisableSteady = !*steady
 	opt.DisableWarmShare = !*warmShare
-	opt.DisableDelta = !*delta
 	opt.Ctx = ctx
 	opt.PointTimeout = *pointTO
 	opt.ParanoidEvery = *paranoid

@@ -339,11 +339,7 @@ func analyticRate(m analytic.Machine, plan PlanInfo, n int) float64 {
 	return m.JacobiOrigMissRate(n)
 }
 
-// sweepOptions builds the bench options for one sweep job. Warm sharing
-// is disabled deliberately: which points copy which lead depends on
-// where a previous run was interrupted, and the resume protocol promises
-// a journal byte-identical to an uninterrupted run's. Delta seeding
-// keeps most of the speed without marking any outcome.
+// sweepOptions builds the bench options for one sweep job.
 func sweepOptions(req SweepRequest, ctx context.Context, workers int, journal *bench.Journal) (bench.Options, stencil.Kernel, error) {
 	req = req.normalize()
 	kernel, err := stencil.ParseKernel(req.Kernel)
@@ -359,19 +355,18 @@ func sweepOptions(req SweepRequest, ctx context.Context, workers int, journal *b
 		methods = append(methods, m)
 	}
 	opt := bench.Options{
-		L1:               req.L1.config(),
-		L2:               simL2(req.L2),
-		K:                req.K,
-		NMin:             req.NMin,
-		NMax:             req.NMax,
-		NStep:            req.NStep,
-		Methods:          methods,
-		Coeffs:           stencil.DefaultCoeffs(),
-		Sweeps:           req.Sweeps,
-		Workers:          workers,
-		DisableWarmShare: true,
-		Ctx:              ctx,
-		Journal:          journal,
+		L1:      req.L1.config(),
+		L2:      simL2(req.L2),
+		K:       req.K,
+		NMin:    req.NMin,
+		NMax:    req.NMax,
+		NStep:   req.NStep,
+		Methods: methods,
+		Coeffs:  stencil.DefaultCoeffs(),
+		Sweeps:  req.Sweeps,
+		Workers: workers,
+		Ctx:     ctx,
+		Journal: journal,
 	}
 	return opt, kernel, nil
 }

@@ -8,12 +8,11 @@ import (
 	"testing"
 
 	"tiling3d/internal/cache"
-	"tiling3d/internal/core"
 	"tiling3d/internal/stencil"
 )
 
-// Cross-point delta simulation must be invisible in the results: every
-// number a sweep produces has to be bit-identical with -delta=false
+// Delta replay of the measured sweeps must be invisible in the
+// results: every number a sweep produces has to be bit-identical with
 // -steady=false -warmshare=false full simulation, for every kernel,
 // method, geometry, and interplay with resume and warm sharing.
 
@@ -22,7 +21,6 @@ import (
 func fullSim(opt Options) Options {
 	opt.DisableSteady = true
 	opt.DisableWarmShare = true
-	opt.DisableDelta = true
 	return opt
 }
 
@@ -43,12 +41,11 @@ func TestDeltaPointDifferential(t *testing.T) {
 	}
 }
 
-// TestDeltaSweepIdentical drives the sweep engine's donor scheduling
-// (warm sharing off, so plan-identical groups seed followers with the
-// lead's phase records) and requires bit-identical outcomes plus actual
-// donor traffic.
+// TestDeltaSweepIdentical drives every point of the sweep engine
+// through delta replay (warm sharing off, so plan-identical points
+// simulate too) and requires bit-identical outcomes plus actual replay.
 func TestDeltaSweepIdentical(t *testing.T) {
-	seeded, reused := 0, 0
+	reused := 0
 	for _, k := range stencil.Kernels() {
 		opt := smallOptions()
 		opt.Sweeps = 2
@@ -56,9 +53,6 @@ func TestDeltaSweepIdentical(t *testing.T) {
 		var mu sync.Mutex
 		opt.DiagHook = func(d PointDiag) {
 			mu.Lock()
-			if d.Donor != "" {
-				seeded++
-			}
 			if d.DeltaReused() {
 				reused++
 			}
@@ -79,14 +73,11 @@ func TestDeltaSweepIdentical(t *testing.T) {
 	if reused == 0 {
 		t.Fatal("delta replay never fired across the small grids")
 	}
-	if seeded == 0 {
-		t.Fatal("no follower was ever donor-seeded: the neighbor scheduling path was never exercised")
-	}
 }
 
-// TestDeltaWarmShareInterplay: with both sharing layers on, followers
-// copy results and leads delta-replay; outcomes still match full
-// simulation exactly (Shared is the only field allowed to differ).
+// TestDeltaWarmShareInterplay: with both layers on, followers copy
+// results and leads delta-replay; outcomes still match full simulation
+// exactly.
 func TestDeltaWarmShareInterplay(t *testing.T) {
 	for _, k := range stencil.Kernels() {
 		opt := smallOptions()
@@ -96,11 +87,10 @@ func TestDeltaWarmShareInterplay(t *testing.T) {
 		if errA != nil || errB != nil {
 			t.Fatalf("%s: simGrid errors: %v, %v", k, errA, errB)
 		}
-		sa := stripShared(a)
-		for i := range sa {
-			if sa[i] != b[i] {
+		for i := range a {
+			if a[i] != b[i] {
 				t.Errorf("%s: point %s diverged with warmshare+delta:\n  got  %+v\n  full %+v",
-					k, sa[i].Key, sa[i], b[i])
+					k, a[i].Key, a[i], b[i])
 			}
 		}
 	}
@@ -108,13 +98,12 @@ func TestDeltaWarmShareInterplay(t *testing.T) {
 
 // TestDeltaResumeInterplay: a sweep interrupted mid-run and resumed
 // from its journal — so some groups' leads complete in the first run
-// and their followers in the second, donor-less — must still match full
-// simulation point for point.
+// and their followers in the second, copying the journaled lead — must
+// still match full simulation point for point.
 func TestDeltaResumeInterplay(t *testing.T) {
 	k := stencil.Jacobi
 	base := smallOptions()
 	base.Sweeps = 2
-	base.DisableWarmShare = true
 	path := filepath.Join(t.TempDir(), "delta_resume.jsonl")
 
 	first := base
@@ -191,68 +180,6 @@ func TestDeltaRandomGeometry(t *testing.T) {
 		if got != want {
 			t.Errorf("geom %d %s/%s N=%d sweeps=%d: diverged:\n  delta %+v\n  full  %+v",
 				gi, k, m, n, opt.Sweeps, got, want)
-		}
-	}
-}
-
-// TestDeltaDegradedLeadNoDonor: a lead that degrades must not donate;
-// its followers run donor-less and still match full simulation. Mirrors
-// TestWarmShareDegradedLeadFallback on the delta scheduling path.
-func TestDeltaDegradedLeadNoDonor(t *testing.T) {
-	k := stencil.Jacobi
-	opt := smallOptions()
-	opt.Sweeps = 2
-	opt.DisableWarmShare = true
-
-	var lead PointKey
-	var followers []PointKey
-	for _, g := range shareGroups(k, opt) {
-		if len(g) > 1 {
-			lead, followers = g[0], g[1:]
-			break
-		}
-	}
-	if lead == (PointKey{}) {
-		t.Fatal("no shareable group in the small grid")
-	}
-	opt.faultInject = func(o Options, m core.Method, n int) {
-		if !o.DisableSteady && m.String() == lead.Method && n == lead.N {
-			panic("injected: lead's primary attempt")
-		}
-	}
-	var mu sync.Mutex
-	diags := map[PointKey]PointDiag{}
-	opt.DiagHook = func(d PointDiag) {
-		mu.Lock()
-		diags[d.Key] = d
-		mu.Unlock()
-	}
-	outs, err := simGrid(k, opt)
-	if err != nil {
-		t.Fatalf("simGrid: %v", err)
-	}
-	if ld := diags[lead]; !ld.Degraded {
-		t.Fatalf("lead %s did not degrade: %+v", lead, ld)
-	}
-	for _, f := range followers {
-		fd := diags[f]
-		if fd.Donor != "" {
-			t.Errorf("follower %s was seeded by a degraded lead", f)
-		}
-		if fd.Degraded || fd.Failed {
-			t.Errorf("follower %s should have simulated cleanly: %+v", f, fd)
-		}
-	}
-	ref, err := simGrid(k, fullSim(opt))
-	if err != nil {
-		t.Fatalf("reference: %v", err)
-	}
-	for i := range outs {
-		got := outs[i]
-		got.Degraded, got.Err = false, ""
-		if got != ref[i] {
-			t.Errorf("point %s diverged under degraded lead:\n  got  %+v\n  full %+v",
-				got.Key, outs[i], ref[i])
 		}
 	}
 }

@@ -88,17 +88,18 @@ func (k PointKey) less(o PointKey) bool {
 // PointOutcome is the journaled record of one simulation point: the
 // result, or how it failed. A Degraded outcome carries a valid result
 // computed with the steady engine disabled after the primary attempt
-// failed; Err then records why. A Failed outcome has no result.
+// failed; Err then records why. A Failed outcome has no result. Whether
+// the point copied a plan-identical lead's result is deliberately not
+// recorded (PointDiag.Shared reports it): which point copies depends on
+// where an earlier run was interrupted, and a resumed sweep must
+// journal exactly what an uninterrupted one does. Journals that still
+// carry the old "shared" field load as before; the field is ignored.
 type PointOutcome struct {
 	Key      PointKey  `json:"key"`
 	Res      SimResult `json:"res"`
 	Degraded bool      `json:"degraded,omitempty"`
 	Failed   bool      `json:"failed,omitempty"`
 	Err      string    `json:"err,omitempty"`
-	// Shared names the method whose simulated result this point copied
-	// under warm sharing (the lead of its plan-identity group); empty
-	// when the point was simulated itself.
-	Shared string `json:"shared,omitempty"`
 }
 
 // Journal is a checkpoint file of completed sweep points. Safe for

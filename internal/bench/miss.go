@@ -89,30 +89,22 @@ func (r SimResult) MissPoint() MissPoint {
 // (cache.WarmMeasure). Simulation is trace-only, so the workload carries
 // no element data and the sweeps run on the batched replay engine.
 func SimulateStats(k stencil.Kernel, m core.Method, n int, opt Options) SimResult {
-	plan := opt.Plan(k, m, n)
-	w := stencil.NewTraceWorkload(k, n, opt.K, plan)
-	h := cacheHierarchy(opt)
-	sd := opt.steady(h)
-	sweeps := opt.Sweeps
-	if sweeps <= 0 {
-		sweeps = 1
+	w := stencil.NewTraceWorkload(k, n, opt.K, opt.Plan(k, m, n))
+	return opt.simulate(w, n, cacheHierarchy(opt))
+}
+
+// simulate runs the warm-measure protocol of w's trace on h through the
+// options' engine, fills the diagnostic targets from that engine, and
+// returns the measured statistics.
+func (o Options) simulate(w *stencil.Workload, n int, h *cache.Hierarchy) SimResult {
+	sd := o.steady(h)
+	sweeps := o.measuredSweeps()
+	cache.WarmMeasure(h, sd, sweeps, w.ReplayTrace)
+	if o.steadyDiag != nil && sd != nil {
+		*o.steadyDiag = sd.Diag()
 	}
-	if sd != nil && !opt.DisableDelta && opt.deltaDonor != nil {
-		sd.SeedDelta(opt.deltaDonor)
-	}
-	traced := cache.WarmMeasure(h, sd, sweeps, !opt.DisableDelta, w.ReplayTrace)
-	if opt.steadyDiag != nil && sd != nil {
-		*opt.steadyDiag = sd.Diag()
-	}
-	if opt.deltaDiag != nil && sd != nil {
-		*opt.deltaDiag = sd.DeltaInfo()
-	}
-	if opt.deltaExport != nil {
-		if traced {
-			*opt.deltaExport = sd.ExportDelta()
-		} else {
-			*opt.deltaExport = nil
-		}
+	if o.deltaDiag != nil && sd != nil {
+		*o.deltaDiag = sd.DeltaInfo()
 	}
 	return SimResult{
 		N:     n,

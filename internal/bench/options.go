@@ -52,11 +52,12 @@ type Options struct {
 	// wavefront schedule (internal/schedule). Execution knob: measured
 	// wall-clock changes, computed bytes do not.
 	ExecSchedule stencil.ScheduleMode
-	// DisableSteady turns off the steady-state plane-cycle engine,
-	// forcing every plane of every sweep to be simulated in full. The
-	// zero value (steady detection on) is the default; statistics are
-	// bit-identical either way, so the flag exists to time full
-	// simulation and as a safety valve.
+	// DisableSteady turns off the steady-state engine — plane-cycle
+	// detection and delta replay of the measured sweeps from the traced
+	// warm-up (cache.WarmMeasure) — forcing every plane of every sweep
+	// to be simulated in full. The zero value (engine on) is the
+	// default; statistics are bit-identical either way, so the flag
+	// exists to time full simulation and as a safety valve.
 	DisableSteady bool
 	// DisableWarmShare turns off cross-point result sharing. By default
 	// the sweep engine groups points whose selection plans are identical
@@ -67,15 +68,6 @@ type Options struct {
 	// sweeps). Like DisableSteady this is an execution knob: results
 	// are bit-identical either way.
 	DisableWarmShare bool
-	// DisableDelta turns off cross-point delta simulation (cache/delta.go):
-	// with it on (the default), a point's warm sweep is traced into phase
-	// records, its measured sweeps replay from the records instead of the
-	// walker, and — when warm sharing is off — plan-identical followers are
-	// seeded with the lead point's records so even their warm sweeps echo.
-	// Like the other engine knobs this is execution-only: statistics are
-	// bit-identical either way, and full simulation remains the fallback
-	// whenever a trace or a donor cannot be validated.
-	DisableDelta bool
 
 	// Ctx, when non-nil, cancels a sweep: in-flight points drain, not-
 	// yet-started points are skipped, and the experiment returns the
@@ -92,8 +84,9 @@ type Options struct {
 	PointTimeout time.Duration
 	// ParanoidEvery, when positive, cross-checks every ParanoidEvery-th
 	// simulation point's steady-engine statistics and final cache state
-	// against a full cold replay (cache.SelfCheck). A mismatch enters
-	// the degradation ladder like a panic or timeout would.
+	// against the same protocol replayed raw on a shadow hierarchy. A
+	// mismatch enters the degradation ladder like a panic or timeout
+	// would.
 	ParanoidEvery int
 	// InjectPanicN, when positive, makes every simulation point with
 	// that problem size panic. It exists to demonstrate and test panic
@@ -124,17 +117,6 @@ type Options struct {
 	// deltaDiag, when non-nil, is filled by SimulateStats with the delta
 	// layer's counters, same contract as steadyDiag.
 	deltaDiag *cache.DeltaDiag
-	// deltaDonor, when non-nil, seeds the point's engine with a
-	// plan-identical donor's phase records before the warm sweep.
-	deltaDonor *cache.DeltaDonor
-	// deltaExport, when non-nil, receives the point's exported donor
-	// records after a successful trace (nil when tracing failed). The
-	// sweep engine points it at a per-attempt local so an abandoned
-	// (timed-out) attempt cannot race the group's donor.
-	deltaExport **cache.DeltaDonor
-	// donorFrom names the method whose lead point donated deltaDonor;
-	// it labels PointDiag.Donor when the seed actually took.
-	donorFrom string
 	// faultInject, when non-nil, runs at the start of each point's
 	// simulation and may panic or sleep to exercise the degradation
 	// ladder (it sees the per-attempt options, so a fault can be keyed
@@ -211,12 +193,9 @@ func (o Options) Validate() error {
 // excluded — the engine guarantees identical statistics across all of
 // them.
 func (o Options) Fingerprint() string {
-	sweeps := o.Sweeps
-	if sweeps <= 0 {
-		sweeps = 1 // the engine treats 0 as 1; normalize so the journals match
-	}
+	// The engine treats 0 sweeps as 1; normalize so the journals match.
 	return fmt.Sprintf("l1=%+v|l2=%+v|k=%d|sweeps=%d|target=%d",
-		o.L1, o.L2, o.K, sweeps, o.TargetElems)
+		o.L1, o.L2, o.K, o.measuredSweeps(), o.TargetElems)
 }
 
 // DefaultOptions returns the paper's experimental setup.
@@ -232,6 +211,15 @@ func DefaultOptions() Options {
 		Coeffs:  stencil.DefaultCoeffs(),
 		Sweeps:  1,
 	}
+}
+
+// measuredSweeps is the number of measured sweeps a point simulates:
+// Sweeps, with 0 meaning 1.
+func (o Options) measuredSweeps() int {
+	if o.Sweeps <= 0 {
+		return 1
+	}
+	return o.Sweeps
 }
 
 // Sizes expands the sweep range into the list of N values, always
@@ -281,9 +269,9 @@ func (o Options) steady(h *cache.Hierarchy) *cache.Steady {
 
 // warmMeasure runs one warm-up sweep and one measured sweep of sweep on
 // h through the options' engine (cache.WarmMeasure), so -steady=false
-// and -delta=false reach every single-sweep experiment.
+// reaches every single-sweep experiment.
 func (o Options) warmMeasure(h *cache.Hierarchy, sweep func(cache.RunSink)) {
-	cache.WarmMeasure(h, o.steady(h), 1, !o.DisableDelta, sweep)
+	cache.WarmMeasure(h, o.steady(h), 1, sweep)
 }
 
 // simSinkCache wraps a single-level cache in the steady-state engine

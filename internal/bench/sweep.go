@@ -67,19 +67,35 @@ func AbandonedWorkers() (total, live int64) {
 //
 // Unless opt.DisableWarmShare is set, points whose selection plans are
 // identical (see planShareKey) are grouped: the group's first point
-// simulates as the lead and the rest copy its result, marked Shared.
-// The copy is exact — a point's statistics are a deterministic function
-// of (kernel, N, plan, sweeps), which is precisely what the group key
-// holds fixed. Followers of a lead that failed or degraded run their
-// own ladder instead: a lead that only produced a fallback result may
-// have hit a point-specific fault, and sharing is a shortcut, never a
-// way to widen a failure's blast radius.
+// simulates as the lead and the rest copy its result, reported to
+// DiagHook as Shared. The copy is exact — a point's statistics are a
+// deterministic function of (kernel, N, plan, sweeps), which is
+// precisely what the group key holds fixed. A journaled point leads its
+// plan group as well, so a follower whose lead completed before an
+// interruption copies the journaled result on resume; the journal does
+// not record which points copied, so a resumed sweep journals exactly
+// what an uninterrupted one does. Followers of a lead that failed or
+// degraded run their own ladder instead: a lead that only produced a
+// fallback result may have hit a point-specific fault, and sharing is a
+// shortcut, never a way to widen a failure's blast radius.
 func simGrid(k stencil.Kernel, opt Options) ([]PointOutcome, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
 	sizes := opt.Sizes()
 	out := make([]PointOutcome, len(opt.Methods)*len(sizes))
+
+	type shareKey struct {
+		n    int
+		plan core.Plan
+	}
+	shareable := func(m core.Method, n int) (shareKey, bool) {
+		if opt.DisableWarmShare {
+			return shareKey{}, false
+		}
+		plan, ok := planShareKey(k, m, n, opt)
+		return shareKey{n: n, plan: plan}, ok
+	}
 
 	type item struct {
 		slot     int
@@ -88,6 +104,7 @@ func simGrid(k stencil.Kernel, opt Options) ([]PointOutcome, error) {
 		paranoid bool
 	}
 	var todo []item
+	journaled := make(map[shareKey]PointOutcome) // plan group → a journaled lead
 	for mi, m := range opt.Methods {
 		for ni, n := range sizes {
 			slot := mi*len(sizes) + ni
@@ -95,56 +112,16 @@ func simGrid(k stencil.Kernel, opt Options) ([]PointOutcome, error) {
 			if opt.Journal != nil {
 				if prev, ok := opt.Journal.Lookup(key); ok {
 					out[slot] = prev
+					if sk, ok := shareable(m, n); ok && !prev.Degraded {
+						if _, seen := journaled[sk]; !seen {
+							journaled[sk] = prev
+						}
+					}
 					continue
 				}
 			}
 			paranoid := opt.ParanoidEvery > 0 && len(todo)%opt.ParanoidEvery == 0
 			todo = append(todo, item{slot: slot, m: m, n: n, paranoid: paranoid})
-		}
-	}
-
-	// Group todo points by plan identity. groups[g][0] is the lead. A
-	// paranoid point may lead a group (its result is cross-checked, so
-	// copies inherit the scrutiny) but never follows one — it exists to
-	// exercise the full simulation path. Grouping also orders plan
-	// neighbors consecutively on one worker, so a lead's warm result is
-	// still in cache when its followers copy it.
-	//
-	// The same grouping doubles as the delta layer's donor schedule when
-	// warm sharing is off: plan identity is exactly the relation under
-	// which two points' traces are byte-identical (differing plans change
-	// run counts and bases, so no phase of one is a translate of a phase
-	// of the other), which makes the plan-identical lead each point's
-	// maximally-similar completed donor. Leads run first, followers are
-	// seeded with the lead's phase records and simulate (exactly) instead
-	// of copying.
-	deltaShare := opt.DisableWarmShare && !opt.DisableSteady && !opt.DisableDelta
-	groups := make([][]int, 0, len(todo))
-	if !opt.DisableWarmShare || deltaShare {
-		type shareKey struct {
-			n    int
-			plan core.Plan
-		}
-		idx := make(map[shareKey]int)
-		for i, it := range todo {
-			plan, ok := planShareKey(k, it.m, it.n, opt)
-			if !ok {
-				groups = append(groups, []int{i})
-				continue
-			}
-			key := shareKey{n: it.n, plan: plan}
-			if g, seen := idx[key]; seen && !it.paranoid {
-				groups[g] = append(groups[g], i)
-				continue
-			}
-			if _, seen := idx[key]; !seen {
-				idx[key] = len(groups)
-			}
-			groups = append(groups, []int{i})
-		}
-	} else {
-		for i := range todo {
-			groups = append(groups, []int{i})
 		}
 	}
 
@@ -166,48 +143,64 @@ func simGrid(k stencil.Kernel, opt Options) ([]PointOutcome, error) {
 			hook(n)
 		}
 	}
+	share := func(f item, lead PointOutcome) {
+		outc := PointOutcome{
+			Key: PointKey{Kernel: k.String(), Method: f.m.String(), N: f.n},
+			Res: lead.Res,
+		}
+		out[f.slot] = outc
+		record(outc)
+		if opt.DiagHook != nil {
+			opt.DiagHook(PointDiag{Key: outc.Key, Shared: lead.Key.Method})
+		}
+	}
+
+	// Group todo points by plan identity. groups[g][0] is the lead. A
+	// paranoid point may lead a group (its result is cross-checked, so
+	// copies inherit the scrutiny) but never follows one — it exists to
+	// exercise the full simulation path. Grouping also orders plan
+	// neighbors consecutively on one worker, so a lead's warm result is
+	// still in cache when its followers copy it. Followers of a journaled
+	// lead copy it right here.
+	groups := make([][]int, 0, len(todo))
+	idx := make(map[shareKey]int)
+	for i, it := range todo {
+		key, ok := shareable(it.m, it.n)
+		if !ok {
+			groups = append(groups, []int{i})
+			continue
+		}
+		if lead, seen := journaled[key]; seen && !it.paranoid {
+			share(it, lead)
+			continue
+		}
+		if g, seen := idx[key]; seen && !it.paranoid {
+			groups[g] = append(groups[g], i)
+			continue
+		}
+		if _, seen := idx[key]; !seen {
+			idx[key] = len(groups)
+		}
+		groups = append(groups, []int{i})
+	}
 
 	perrs, cerr := cache.ForEachCtx(opt.ctx(), len(groups), opt.Workers, func(gi int) {
 		g := groups[gi]
 		it := todo[g[0]]
-		lopt := opt
-		var donor *cache.DeltaDonor
-		if deltaShare && len(g) > 1 {
-			lopt.deltaExport = &donor
-		}
-		lead := runPoint(k, it.m, it.n, lopt, it.paranoid)
+		lead := runPoint(k, it.m, it.n, opt, it.paranoid)
 		out[it.slot] = lead
 		record(lead)
 		for _, fi := range g[1:] {
 			f := todo[fi]
-			var outc PointOutcome
-			switch {
-			case lead.Failed || lead.Degraded:
-				// A degraded or failed donor never propagates: followers
-				// run their own full ladder, donor-less.
-				outc = runPoint(k, f.m, f.n, opt, f.paranoid)
-			case deltaShare:
-				// Seed the follower with the lead's phase records: its warm
-				// sweep echoes from the first matching pin and its measured
-				// sweeps delta-replay, but it still simulates — exactly —
-				// rather than copying. A nil donor (lead traced nothing)
-				// just means a donor-less, still-exact run.
-				fopt := opt
-				fopt.deltaDonor = donor
-				fopt.donorFrom = lead.Key.Method
-				outc = runPoint(k, f.m, f.n, fopt, f.paranoid)
-			default:
-				outc = PointOutcome{
-					Key:    PointKey{Kernel: k.String(), Method: f.m.String(), N: f.n},
-					Res:    lead.Res,
-					Shared: lead.Key.Method,
-				}
-				if opt.DiagHook != nil {
-					opt.DiagHook(PointDiag{Key: outc.Key, Shared: outc.Shared})
-				}
+			if lead.Failed || lead.Degraded {
+				// A degraded or failed lead never propagates: followers
+				// run their own full ladder.
+				outc := runPoint(k, f.m, f.n, opt, f.paranoid)
+				out[f.slot] = outc
+				record(outc)
+				continue
 			}
-			out[f.slot] = outc
-			record(outc)
+			share(f, lead)
 		}
 	})
 	// runPoint recovers everything itself, so escaped panics mean the
@@ -251,13 +244,11 @@ func forEachCtx(opt Options, n int, fn func(i int)) {
 
 // PointDiag is the per-point diagnostic record DiagHook receives: how
 // the point was resolved and, when the steady engine simulated it, the
-// engine's phase-handling counters. Shared points and degraded or
-// paranoid attempts carry a zero Steady (no steady sink ran, or its
-// counters were not collected).
+// engine's phase-handling counters. Shared and degraded points carry a
+// zero Steady (no steady sink ran).
 type PointDiag struct {
 	Key      PointKey
 	Shared   string // lead method whose result was copied; "" when simulated
-	Donor    string // lead method whose phase records seeded this point; "" when unseeded
 	Degraded bool
 	Failed   bool
 	Err      string
@@ -279,11 +270,8 @@ func (d PointDiag) String() string {
 		return fmt.Sprintf("%s: degraded (steady disabled): %s", d.Key, d.Err) + d.abandonedSuffix()
 	default:
 		s := fmt.Sprintf("%s: %s", d.Key, d.Steady)
-		if d.Delta.Traced || d.Delta.Seeded || d.Delta.Sweeps > 0 {
+		if d.Delta.Traced || d.Delta.Sweeps > 0 {
 			s += " | delta " + d.Delta.String()
-			if d.Donor != "" {
-				s += " donor=" + d.Donor
-			}
 		}
 		return s
 	}
@@ -339,9 +327,6 @@ func runPoint(k stencil.Kernel, m core.Method, n int, opt Options, paranoid bool
 		}
 		if dd != nil && !outc.Failed {
 			d.Delta = *dd
-			if d.Delta.Seeded {
-				d.Donor = opt.donorFrom
-			}
 		}
 		opt.DiagHook(d)
 	}
@@ -350,16 +335,11 @@ func runPoint(k stencil.Kernel, m core.Method, n int, opt Options, paranoid bool
 
 // runPointLadder runs the ladder and returns the outcome together with
 // the steady- and delta-diagnostic counters of the attempt that produced
-// it. Each attempt writes fresh counter (and donor-export) targets: a
-// timed-out attempt's abandoned goroutine may still write its own
-// targets later, which must not race with reading the attempt that
-// actually finished.
+// it. Each attempt writes fresh counter targets: a timed-out attempt's
+// abandoned goroutine may still write its own targets later, which must
+// not race with reading the attempt that actually finished.
 func runPointLadder(k stencil.Kernel, m core.Method, n int, opt Options, paranoid bool, key PointKey) (PointOutcome, *cache.SteadyDiag, *cache.DeltaDiag, int) {
 	abandoned := 0
-	export := opt.deltaExport
-	if export != nil {
-		opt.deltaExport = new(*cache.DeltaDonor)
-	}
 	if opt.DiagHook != nil {
 		opt.steadyDiag = new(cache.SteadyDiag)
 		opt.deltaDiag = new(cache.DeltaDiag)
@@ -369,18 +349,11 @@ func runPointLadder(k stencil.Kernel, m core.Method, n int, opt Options, paranoi
 		abandoned++
 	}
 	if err == nil {
-		if export != nil {
-			*export = *opt.deltaExport
-		}
 		return PointOutcome{Key: key, Res: res}, opt.steadyDiag, opt.deltaDiag, abandoned
 	}
 	if !opt.DisableSteady {
-		// The fallback attempt neither consumes nor produces donors: a
-		// degraded point must not propagate anything.
 		retry := opt
 		retry.DisableSteady = true
-		retry.deltaDonor = nil
-		retry.deltaExport = nil
 		if opt.DiagHook != nil {
 			retry.steadyDiag = new(cache.SteadyDiag)
 			retry.deltaDiag = new(cache.DeltaDiag)
@@ -466,31 +439,27 @@ func simAttempt(k stencil.Kernel, m core.Method, n int, opt Options, paranoid bo
 }
 
 // simParanoid is SimulateStats with the steady engine under cross-
-// examination: the same trace replays through a full-simulation shadow
-// hierarchy, and statistics plus final cache state must match exactly.
-// It costs a full extra simulation, which is why ParanoidEvery samples
-// it rather than applying it everywhere.
+// examination: the same warm-measure protocol runs once through the
+// engine, exactly as production runs it, and once raw on a shadow
+// hierarchy, and per-level statistics plus final cache state must match
+// exactly. It costs a full extra simulation, which is why ParanoidEvery
+// samples it rather than applying it everywhere.
 func simParanoid(k stencil.Kernel, m core.Method, n int, opt Options) (SimResult, error) {
-	plan := opt.Plan(k, m, n)
-	w := stencil.NewTraceWorkload(k, n, opt.K, plan)
+	w := stencil.NewTraceWorkload(k, n, opt.K, opt.Plan(k, m, n))
 	h := cacheHierarchy(opt)
-	sc := cache.NewSelfCheck(h)
-	sweeps := opt.Sweeps
-	if sweeps <= 0 {
-		sweeps = 1
+	res := opt.simulate(w, n, h)
+	shadow := cacheHierarchy(opt)
+	cache.WarmMeasure(shadow, nil, opt.measuredSweeps(), w.ReplayTrace)
+	for l := 0; l < 2; l++ {
+		got, want := h.Level(l), shadow.Level(l)
+		if got.Stats() != want.Stats() {
+			return SimResult{}, fmt.Errorf("bench: point %s/%s N=%d: steady self-check: level %d stats diverge: steady %+v, full replay %+v",
+				k, m, n, l+1, got.Stats(), want.Stats())
+		}
+		if !got.StateEqual(want) {
+			return SimResult{}, fmt.Errorf("bench: point %s/%s N=%d: steady self-check: level %d cache state diverges from full replay",
+				k, m, n, l+1)
+		}
 	}
-	w.ReplayTrace(sc)
-	sc.ResetStats()
-	for s := 0; s < sweeps; s++ {
-		w.ReplayTrace(sc)
-	}
-	if err := sc.Check(); err != nil {
-		return SimResult{}, fmt.Errorf("bench: point %s/%s N=%d: %w", k, m, n, err)
-	}
-	return SimResult{
-		N:     n,
-		L1:    h.Level(0).Stats(),
-		L2:    h.Level(1).Stats(),
-		Flops: w.Flops() * int64(sweeps),
-	}, nil
+	return res, nil
 }

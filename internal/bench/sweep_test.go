@@ -352,12 +352,21 @@ func TestAbandonedWorkersCountedAndHarmless(t *testing.T) {
 }
 
 // TestParanoidSweepIdentical: the sampled self-check neither changes any
-// statistic nor degrades any point on a healthy engine.
+// statistic nor degrades any point on a healthy engine, and it checks
+// the path production runs: every paranoid point's measured sweep is
+// delta-replayed.
 func TestParanoidSweepIdentical(t *testing.T) {
 	plain := smallOptions()
 	plain.Methods = []core.Method{core.Orig, core.MethodGcdPad}
 	par := plain
 	par.ParanoidEvery = 1 // cross-check every point
+	var mu sync.Mutex
+	diags := map[PointKey]PointDiag{}
+	par.DiagHook = func(d PointDiag) {
+		mu.Lock()
+		diags[d.Key] = d
+		mu.Unlock()
+	}
 	a, errA := simGrid(stencil.Jacobi, plain)
 	b, errB := simGrid(stencil.Jacobi, par)
 	if errA != nil || errB != nil {
@@ -369,6 +378,9 @@ func TestParanoidSweepIdentical(t *testing.T) {
 		}
 		if a[i].Res != b[i].Res {
 			t.Errorf("%s: paranoid result %+v != plain %+v", a[i].Key, b[i].Res, a[i].Res)
+		}
+		if d := diags[b[i].Key]; d.Delta.Sweeps == 0 {
+			t.Errorf("%s: paranoid point did not exercise delta replay: %s", b[i].Key, d)
 		}
 	}
 }

@@ -1,7 +1,11 @@
 package bench
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -44,18 +48,6 @@ func expectedShares(k stencil.Kernel, opt Options) int {
 	return shares
 }
 
-// stripShared clears the Shared marker so outcomes from a sharing run
-// compare equal to a non-sharing run: the marker is the only field
-// allowed to differ.
-func stripShared(outs []PointOutcome) []PointOutcome {
-	cp := make([]PointOutcome, len(outs))
-	for i, o := range outs {
-		o.Shared = ""
-		cp[i] = o
-	}
-	return cp
-}
-
 func TestWarmShareIdentical(t *testing.T) {
 	opt := smallOptions()
 	totalExpected, totalShared := 0, 0
@@ -78,11 +70,10 @@ func TestWarmShareIdentical(t *testing.T) {
 		if errA != nil || errB != nil {
 			t.Fatalf("%s: simGrid errors: %v, %v", k, errA, errB)
 		}
-		sa, sb := stripShared(a), stripShared(b)
-		for i := range sa {
-			if sa[i] != sb[i] {
+		for i := range a {
+			if a[i] != b[i] {
 				t.Errorf("%s: point %s diverged under warm sharing:\n  on  %+v\n  off %+v",
-					k, sa[i].Key, sa[i], sb[i])
+					k, a[i].Key, a[i], b[i])
 			}
 		}
 		want := expectedShares(k, opt)
@@ -203,13 +194,12 @@ func TestWarmShareDegradedLeadFallback(t *testing.T) {
 	if err != nil {
 		t.Fatalf("simGrid: %v", err)
 	}
-	sa := stripShared(outs)
-	for i := range sa {
-		got := sa[i]
+	for i := range outs {
+		got := outs[i]
 		got.Degraded, got.Err = false, ""
 		if got != ref[i] {
 			t.Errorf("point %s result diverged under degraded lead:\n  got %+v\n  ref %+v",
-				got.Key, sa[i], ref[i])
+				got.Key, outs[i], ref[i])
 		}
 	}
 }
@@ -237,5 +227,142 @@ func TestWarmShareDiagHookCoverage(t *testing.T) {
 		if n != 1 {
 			t.Errorf("point %s fired %d diagnostics", key, n)
 		}
+	}
+}
+
+// sharedResume resumes opt's sweep of k from the journal at path and
+// returns the compacted journal, the points actually simulated, and the
+// lead method each shared point reported.
+func sharedResume(t *testing.T, k stencil.Kernel, opt Options, path string) ([]byte, map[PointKey]bool, map[PointKey]string) {
+	t.Helper()
+	j, err := OpenJournal(path, opt, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	simulated := map[PointKey]bool{}
+	shared := map[PointKey]string{}
+	opt.Journal = j
+	opt.faultInject = func(_ Options, m core.Method, n int) {
+		mu.Lock()
+		simulated[PointKey{Kernel: k.String(), Method: m.String(), N: n}] = true
+		mu.Unlock()
+	}
+	opt.DiagHook = func(d PointDiag) {
+		mu.Lock()
+		if d.Shared != "" {
+			shared[d.Key] = d.Shared
+		}
+		mu.Unlock()
+	}
+	if _, err := simGrid(k, opt); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data, simulated, shared
+}
+
+// TestWarmShareResumeByteIdentical: a sharing sweep killed between two
+// journal appends, right after a group lead's line, resumes to a
+// compacted journal byte-identical to the uninterrupted run's, and the
+// lead's followers copy the journaled lead (reported Shared) instead of
+// simulating. A journal written before PointOutcome dropped its
+// "shared" field resumes the same way.
+func TestWarmShareResumeByteIdentical(t *testing.T) {
+	k := stencil.Jacobi
+	opt := smallOptions()
+	opt.Workers = 1 // journal lines in dispatch order: a lead, then its followers
+	dir := t.TempDir()
+
+	full := filepath.Join(dir, "full.journal")
+	j, err := OpenJournal(full, opt, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := opt
+	run.Journal = j
+	if _, err := simGrid(k, run); err != nil {
+		t.Fatal(err)
+	}
+	appended, err := os.ReadFile(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var lead PointKey
+	var followers []PointKey
+	for _, g := range shareGroups(k, opt) {
+		if len(g) > 1 {
+			lead, followers = g[0], g[1:]
+			break
+		}
+	}
+	if lead == (PointKey{}) {
+		t.Fatal("no shareable group in the small grid")
+	}
+	lines := strings.SplitAfter(string(appended), "\n")
+	cut := -1
+	for i, ln := range lines {
+		var o PointOutcome
+		if json.Unmarshal([]byte(ln), &o) == nil && o.Key == lead {
+			cut = i + 1
+		}
+	}
+	if cut < 0 {
+		t.Fatalf("lead %s not journaled", lead)
+	}
+
+	killed := filepath.Join(dir, "killed.journal")
+	if err := os.WriteFile(killed, []byte(strings.Join(lines[:cut], "")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, simulated, shared := sharedResume(t, k, opt, killed)
+	if !bytes.Equal(got, want) {
+		t.Errorf("resumed journal differs from the uninterrupted run's:\ngot:\n%s\nwant:\n%s", got, want)
+	}
+	for _, f := range followers {
+		if simulated[f] {
+			t.Errorf("follower %s was simulated on resume", f)
+		}
+		if shared[f] != lead.Method {
+			t.Errorf("follower %s reported Shared %q, want %q", f, shared[f], lead.Method)
+		}
+	}
+
+	// The old format: the follower's line names the lead it copied.
+	var old []string
+	for _, ln := range strings.SplitAfter(string(want), "\n") {
+		var o PointOutcome
+		if json.Unmarshal([]byte(ln), &o) == nil && o.Key == followers[0] {
+			ln = strings.TrimSuffix(ln, "}\n") + `,"shared":"` + lead.Method + "\"}\n"
+		}
+		old = append(old, ln)
+	}
+	legacy := filepath.Join(dir, "legacy.journal")
+	if err := os.WriteFile(legacy, []byte(strings.Join(old, "")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(strings.Join(old, ""), `"shared":"`) {
+		t.Fatal("setup: no legacy line written")
+	}
+	got, simulated, _ = sharedResume(t, k, opt, legacy)
+	if !bytes.Equal(got, want) {
+		t.Errorf("legacy journal resumed to:\n%s\nwant:\n%s", got, want)
+	}
+	if len(simulated) != 0 {
+		t.Errorf("legacy journal resumed with %d points simulated, want 0", len(simulated))
 	}
 }

@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-// Differential tests for the cross-point delta layer: a sweep replayed
-// from the traced phase records must be indistinguishable — statistics
-// and final cache state — from replaying the walker, for native traces,
-// donor-seeded engines, and every fallback path.
+// Differential tests for the delta layer: a sweep replayed from the
+// traced phase records must be indistinguishable — statistics and final
+// cache state — from replaying the walker, on every replay and fallback
+// path.
 
 // deltaPhase replays one marked phase: planes units of two lockstep
 // runs, consecutive units translating by delta bytes, tagged level.
@@ -86,97 +86,29 @@ func TestDeltaReplayDifferential(t *testing.T) {
 	}
 }
 
-// TestDeltaDonorSeed: a fresh engine seeded with a donor's records must
-// echo its own (byte-identical) warm sweep and still match raw exactly.
-func TestDeltaDonorSeed(t *testing.T) {
-	_, _, lead := newDeltaPair()
-	lead.DeltaTraceBegin()
-	deltaSweep(lead)
-	if !lead.DeltaTraceEnd() {
-		t.Fatal("lead trace incomplete")
-	}
-	dn := lead.ExportDelta()
-	if dn == nil {
-		t.Fatal("lead exported no donor")
-	}
-
-	raw, st, sd := newDeltaPair()
-	if !sd.SeedDelta(dn) {
-		t.Fatal("fresh engine refused the donor")
-	}
-	sd.DeltaTraceBegin()
-	deltaSweep(sd)
-	traced := sd.DeltaTraceEnd()
-	deltaSweep(raw)
-	raw.ResetStats()
-	st.ResetStats()
-	for s := 0; s < 3; s++ {
-		deltaSweep(raw)
-		if !traced || !sd.ReplayDeltaSweep() {
-			deltaSweep(sd)
-		}
-	}
-	assertDeltaEqual(t, "seeded follower", raw, st)
-	d := sd.DeltaInfo()
-	if !d.Seeded {
-		t.Errorf("follower diag lost the seed marker: %s", d)
-	}
-	if !traced {
-		t.Errorf("seeded follower failed to re-trace its warm sweep: %s", d)
-	}
-}
-
-// TestDeltaSeedGuards: seeding must refuse engines that are not fresh
-// and donors with mismatched geometry, without corrupting anything.
-func TestDeltaSeedGuards(t *testing.T) {
-	_, _, lead := newDeltaPair()
-	lead.DeltaTraceBegin()
-	deltaSweep(lead)
-	lead.DeltaTraceEnd()
-	dn := lead.ExportDelta()
-	if dn == nil {
-		t.Fatal("no donor")
-	}
-
-	// Not fresh: the engine has recorded phase history of its own
-	// (seeding would clobber slots 0..n-1).
-	raw, st, sd := newDeltaPair()
-	sd.DeltaTraceBegin()
-	deltaSweep(sd)
-	sd.DeltaTraceEnd()
-	if sd.SeedDelta(dn) {
-		t.Error("used engine accepted a seed")
-	}
-	deltaSweep(raw)
-	deltaSweep(raw)
-	if !sd.ReplayDeltaSweep() {
-		deltaSweep(sd)
-	}
-	assertDeltaEqual(t, "refused seed (used engine)", raw, st)
-
-	// Wrong geometry.
-	other := MustHierarchy(Config{SizeBytes: 2 << 10, LineBytes: 32, Assoc: 1})
-	so := NewSteady(other)
-	if so.SeedDelta(dn) {
-		t.Error("geometry-mismatched engine accepted a seed")
-	}
-	if so.SeedDelta(nil) {
-		t.Error("nil donor accepted")
-	}
-}
-
-// TestDeltaStaleRefsFallBack: records evicted from the history after
-// tracing (LRU replacement by a flood of new phase shapes) must fail
-// validation — the replay refuses without mutating state and full
-// simulation stays exact.
+// TestDeltaStaleRefsFallBack: a trace whose anchor table was recycled
+// (by a flood of distinct unit shapes) must not replay. Recycled after
+// tracing, the replay refuses without mutating state; recycled while
+// tracing, the trace fails. Either way full simulation stays exact.
 func TestDeltaStaleRefsFallBack(t *testing.T) {
-	// More distinct phase shapes than the history holds. Each phase is
-	// budget-refused on its first sighting and recorded via echo-assist
-	// on its second, so two flood sweeps evict every traced slot.
-	flood := func(sink RunSink) {
-		for i := 0; i < steadyHistory+4; i++ {
-			deltaPhase(sink, 1<<26+int64(i)<<20, 3, int64(8+8*i), 0)
+	// flood replays one phase whose units are pairwise distinct shapes
+	// (run counts differ), so each becomes an anchor of its own; the
+	// first unit is large enough to pass the budget gate.
+	flood := func(sink RunSink, units int, from int32) {
+		for k := 0; k < units; k++ {
+			count := from + int32(k)
+			if k == 0 {
+				count = 1 << 18
+			}
+			sink.ReplayRuns([]Run{{Base: 1<<26 + int64(k)*32, Stride: 8, Count: count}})
+			MarkPlane(sink, PlaneMark{Delta: 32, Index: k, Planes: units})
 		}
+	}
+	// Two floods that fill the table past its recycle mark; the second
+	// one's first marker recycles it.
+	full := func(sink RunSink) {
+		flood(sink, maxSteadyAnchors+8, 1)
+		flood(sink, maxSteadyAnchors+8, 1)
 	}
 	raw, st, sd := newDeltaPair()
 	sd.DeltaTraceBegin()
@@ -185,10 +117,8 @@ func TestDeltaStaleRefsFallBack(t *testing.T) {
 		t.Fatal("trace incomplete")
 	}
 	deltaSweep(raw)
-	flood(sd)
-	flood(sd)
-	flood(raw)
-	flood(raw)
+	full(sd)
+	full(raw)
 	raw.ResetStats()
 	st.ResetStats()
 	for s := 0; s < 2; s++ {
@@ -202,11 +132,28 @@ func TestDeltaStaleRefsFallBack(t *testing.T) {
 	if d := sd.DeltaInfo(); d.Fallbacks == 0 {
 		t.Errorf("no fallback counted: %s", d)
 	}
+
+	// Two archived floods leave the table past its recycle mark, so the
+	// traced sweep's next phase recycles it.
+	sweep := func(sink RunSink) {
+		flood(sink, maxSteadyAnchors/2-2, 1)
+		flood(sink, maxSteadyAnchors/2-2, maxSteadyAnchors)
+		deltaSweep(sink)
+	}
+	raw, st, sd = newDeltaPair()
+	sweep(raw)
+	raw.ResetStats()
+	sweep(raw)
+	WarmMeasure(st, sd, 1, sweep)
+	assertDeltaEqual(t, "recycled while tracing", raw, st)
+	if d := sd.DeltaInfo(); d.Traced {
+		t.Errorf("a trace whose anchor table was recycled mid-sweep was kept: %s", d)
+	}
 }
 
 // TestDeltaRandomizedStreams: randomized phase geometries (planes,
-// deltas, run shapes, levels) traced and replayed against raw. Seeded
-// for reproducibility.
+// deltas, run shapes, levels) traced and replayed against raw, from a
+// fixed RNG seed for reproducibility.
 func TestDeltaRandomizedStreams(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 20; trial++ {
@@ -289,10 +236,9 @@ func cachePhase(sink RunSink, base int64, planes int, delta int64) {
 // TestDeltaEchoedPhaseChain: a traced sweep of phase A, then B, then A
 // again. The second A enters with B's dirty lines resident, so its
 // first unit writes them back where the first A's (cold) first unit
-// wrote nothing back; from unit 1 on the two are identical, and the
-// second A echoes the first one's record from its unit-1 pin. A delta
-// replay chaining into the second A must replay its units up to that
-// pin instead of adding the first A's recorded deltas for them.
+// wrote nothing back; from unit 1 on the two are identical. A delta
+// replay chaining into the second A must commit the second A's own
+// record, not the first A's recorded deltas for its first unit.
 func TestDeltaEchoedPhaseChain(t *testing.T) {
 	sweep := func(sink RunSink) {
 		cachePhase(sink, 0, 4, 4096)
@@ -304,9 +250,6 @@ func TestDeltaEchoedPhaseChain(t *testing.T) {
 	sweep(sd)
 	if !sd.DeltaTraceEnd() {
 		t.Fatalf("warm sweep did not produce a complete trace: %s", sd.DeltaInfo())
-	}
-	if sd.Echoes() == 0 {
-		t.Fatalf("setup: the second A did not echo the first: %s", sd.Diag())
 	}
 	sweep(raw)
 	raw.ResetStats()

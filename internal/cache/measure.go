@@ -8,30 +8,25 @@ package cache
 // stream.
 //
 // With sd nil every sweep replays straight into h. Otherwise sd must
-// wrap h and every sweep goes through the engine. With delta set the
-// warm-up is traced and each measured sweep is reproduced from the
-// trace by ReplayDeltaSweep, walking the workload only when the replay
-// refuses. The engine commits every skip and echo at its own phase's
-// last marker, so at each sweep end — where the trace closes and the
-// statistics reset — and on return, h's statistics and state equal a
-// raw replay of the same sweeps.
-//
-// It reports whether the warm-up left a complete delta trace, the
-// precondition of ExportDelta.
-func WarmMeasure(h *Hierarchy, sd *Steady, sweeps int, delta bool, sweep func(RunSink)) bool {
+// wrap h: the warm-up goes through the engine and is traced, and each
+// measured sweep is reproduced from the trace by ReplayDeltaSweep,
+// walking the workload through the engine only when the replay refuses.
+// The engine commits every skip at its own phase's last marker, so at
+// each sweep end — where the trace closes and the statistics reset —
+// and on return, h's statistics and state equal a raw replay of the
+// same sweeps.
+func WarmMeasure(h *Hierarchy, sd *Steady, sweeps int, sweep func(RunSink)) {
 	if sd == nil {
 		sweep(h)
 		h.ResetStats()
 		for i := 0; i < sweeps; i++ {
 			sweep(h)
 		}
-		return false
+		return
 	}
-	if delta {
-		sd.DeltaTraceBegin()
-	}
+	sd.DeltaTraceBegin()
 	sweep(sd)
-	traced := delta && sd.DeltaTraceEnd()
+	traced := sd.DeltaTraceEnd()
 	h.ResetStats()
 	for i := 0; i < sweeps; i++ {
 		if traced && sd.ReplayDeltaSweep() {
@@ -39,5 +34,4 @@ func WarmMeasure(h *Hierarchy, sd *Steady, sweeps int, delta bool, sweep func(Ru
 		}
 		sweep(sd)
 	}
-	return traced
 }

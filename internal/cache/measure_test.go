@@ -1,6 +1,9 @@
 package cache
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // emitPhase replays one synthetic phase into a sink: planes units,
 // unit i's stream produced by unitRuns(i), each followed by its marker.
@@ -47,7 +50,7 @@ func scopedPhase(sink RunSink) {
 // echoCycle is a stream whose phases repeat across its own cycle
 // boundaries, as a V-cycle's do: phase X opens both the second and the
 // fourth phase of every cycle. Every phase is a single Δ=0 unit, which
-// the phase machinery leaves alone, and rewrites every set
+// plane-cycle detection leaves alone, and rewrites every set
 // (cachePhase), so the cycle's entry states match from the second
 // cycle on.
 func echoCycle(sink RunSink) {
@@ -57,34 +60,35 @@ func echoCycle(sink RunSink) {
 	cachePhase(sink, 1<<22, 1, 0) // X
 }
 
-// TestSteadySelfCheckSettles: SelfCheck's ResetStats and Check fall on
-// cycle ends of echoCycle. The engine commits every skip and echo at
-// its own phase's last marker, so it is settled there with no extra
-// step: the reset must not land mid-phase and every check must compare
-// final statistics and state.
+// TestSteadySelfCheckSettles: a steady-wrapped hierarchy checked
+// against a raw one at cycle ends of echoCycle, with a statistics reset
+// at one of them. The engine commits every skip at its own phase's
+// last marker, so it is settled there with no extra step: the reset
+// must not land mid-phase and every check must compare final
+// statistics and state.
 func TestSteadySelfCheckSettles(t *testing.T) {
-	sc := NewSelfCheck(MustHierarchy(UltraSparc2L1(), UltraSparc2L2()))
-	echoCycle(sc)
-	echoCycle(sc)
-	if err := sc.Check(); err != nil {
-		t.Fatalf("cycle 2: %v", err)
+	raw, st, sd := newDeltaPair()
+	cycle := func() {
+		echoCycle(raw)
+		echoCycle(sd)
 	}
-	sc.ResetStats()
+	cycle()
+	cycle()
+	assertDeltaEqual(t, "cycle 2", raw, st)
+	raw.ResetStats()
+	st.ResetStats()
 	for c := 0; c < 2; c++ {
-		echoCycle(sc)
-		if err := sc.Check(); err != nil {
-			t.Fatalf("cycle %d: %v", c+3, err)
-		}
+		cycle()
+		assertDeltaEqual(t, fmt.Sprintf("cycle %d", c+3), raw, st)
 	}
 }
 
 // TestSteadyWarmMeasure: the warm-measure driver must leave statistics
 // and state equal to the raw protocol — warm-up, reset, measured sweeps
-// — with the engine off, with delta replay off, and with delta replay
-// on. The streams cover a trace that replays (deltaSweep), phases that
-// repeat across sweep boundaries (echoCycle), phases plane-cycle
-// detection refuses for too few planes (refusedSweep) and for too
-// little work per unit (scopedPhase).
+// — with the engine off and on. The streams cover a trace that replays
+// (deltaSweep), phases that repeat across sweep boundaries (echoCycle),
+// phases plane-cycle detection refuses for too few planes
+// (refusedSweep) and for too little work per unit (scopedPhase).
 func TestSteadyWarmMeasure(t *testing.T) {
 	streams := []struct {
 		name  string
@@ -103,17 +107,17 @@ func TestSteadyWarmMeasure(t *testing.T) {
 			for i := 0; i < sweeps; i++ {
 				tc.sweep(raw)
 			}
-			for _, mode := range []string{"raw", "steady", "delta"} {
+			for _, mode := range []string{"raw", "steady"} {
 				h := MustHierarchy(UltraSparc2L1(), UltraSparc2L2())
 				var sd *Steady
 				if mode != "raw" {
 					sd = NewSteady(h)
 				}
-				traced := WarmMeasure(h, sd, sweeps, mode == "delta", tc.sweep)
+				WarmMeasure(h, sd, sweeps, tc.sweep)
 				assertDeltaEqual(t, tc.name+"/"+mode, raw, h)
-				if tc.name == "phases" && mode == "delta" {
-					if d := sd.DeltaInfo(); !traced || d.Sweeps != uint64(sweeps) {
-						t.Errorf("phases: %d measured sweeps, traced=%v: %s", sweeps, traced, d)
+				if tc.name == "phases" && mode == "steady" {
+					if d := sd.DeltaInfo(); !d.Traced || d.Sweeps != uint64(sweeps) {
+						t.Errorf("phases: %d measured sweeps: %s", sweeps, d)
 					}
 				}
 			}

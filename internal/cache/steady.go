@@ -37,25 +37,12 @@ import "fmt"
 //             uncommitted verified units are replayed from the ring, and
 //             the engine falls back to live replay.
 //   live      plain replay until the phase ends.
-//   echo      cross-phase skip. Experiments replay the same trace more
-//             than once (a warm sweep then a measured sweep), so the
-//             engine also keeps complete records of recent phases: the
-//             anchor and stats delta of every unit, plus a few "pins" —
-//             order-normalized copies of the cache state at chosen unit
-//             boundaries. When a later phase has matched a record unit
-//             for unit and its live state equals one of the record's
-//             pins (raw equality, no translation: the streams are
-//             identical), the rest of the phase is known exactly: each
-//             remaining unit's stats equal the recorded deltas and the
-//             final state equals the recorded phase's end state. The
-//             engine verifies the remaining stream against the record,
-//             then adds the summed deltas and restores the saved end
-//             state. Echo rescues the phases plane-cycle detection
-//             cannot — pathologically padded strides (t0 too large),
-//             short tiled phases, irregular final tiles — because
-//             cross-phase repetition needs no translation alignment at
-//             all; it also beats detection's warm-up on repeat sweeps
-//             of viable phases, so every recorded phase pins.
+//
+// While the delta layer traces a sweep (delta.go) the engine also
+// assembles a complete record of every phase it sees: the anchor and
+// stats delta of every unit, a few "pins" — order-normalized copies of
+// the cache state at chosen unit boundaries — and the raw end state.
+// Outside a trace no phase record is kept.
 //
 // Exactness argument: the full normalized state comparison establishes
 // S_q == translate(S_p, TΔ) for p = q-T, and the per-batch verification
@@ -111,7 +98,6 @@ const (
 	steadyIdle steadyMode = iota
 	steadyObserve
 	steadySkip
-	steadyEcho
 	steadyLive
 )
 
@@ -151,29 +137,25 @@ type steadySnap struct {
 
 // steadyPin is an order-normalized encoding of the full cache state at
 // the end of one phase unit (encodeLevel with zero translation). Pins
-// are what a later identical phase compares its live state against to
-// enter echo mode.
+// are what a delta replay compares its live state against to commit the
+// rest of a phase from the record.
 type steadyPin struct {
 	unit int
 	data [][]int64
 }
 
-// steadyPhase is the complete record of one observed phase: per-unit
+// steadyPhase is the complete record of one traced phase: per-unit
 // anchors and stats deltas, plus state pins. Anchor indices refer to the
 // engine-lifetime anchor table.
 type steadyPhase struct {
-	valid   bool
-	seq     uint64 // LRU stamp for eviction
-	gen     uint64 // content generation: bumped only when insertRecord rewrites the slot
 	delta   int64
 	planes  int
-	level   int
 	anchors []int
 	deltas  [][]Stats
 	pins    []steadyPin
-	// The raw state at the end of the recorded phase. An echoed phase
-	// repeats the recorded stream from the matched pin on, so it ends in
-	// exactly this state (stamp values are stale but their order — all
+	// The raw state at the end of the recorded phase. A replay that
+	// matches a pin repeats the recorded stream from there on, so it ends
+	// in exactly this state (stamp values are stale but their order — all
 	// that affects behavior — is preserved).
 	endTags  [][]int64
 	endDirty [][]bool
@@ -206,12 +188,9 @@ type Steady struct {
 	level   int
 	t0      int
 	aViable bool // plane-cycle detection possible for this phase
-	// pinsOK gates the O(slots) echo pins, which per-tile phases cannot
+	// pinsOK gates the O(slots) pins, which per-tile phases cannot
 	// amortize.
 	pinsOK bool
-	// refusedShapes counts budget-gate refusals per phase shape so a
-	// repeated sweep of a refused phase records for cross-phase echo.
-	refusedShapes map[[3]int64]uint8
 
 	diag SteadyDiag
 
@@ -227,22 +206,13 @@ type Steady struct {
 	anchors  []steadyAnchor
 	nAnchors int
 
-	// Cross-phase echo state: the history of recent phase records, the
-	// record being assembled for the current phase, the saved
-	// phase-start state (to restore on echo completion), and the
-	// candidate records the current phase still matches unit for unit.
-	hist       []steadyPhase
-	histSeq    uint64
-	candAlive  []bool
-	candInit   bool
+	// The record being assembled for the current phase while tracing;
+	// curRecOK is false when the phase is not recorded.
 	curAnchors []int
 	curDeltas  [][]Stats
 	curPins    []steadyPin
 	curRecOK   bool
 	encScratch [][]int64
-	echoRec    int
-	echoFrom   int
-	echoPend   []Stats
 
 	period       int
 	confirmUnit  int
@@ -258,16 +228,13 @@ type Steady struct {
 	scratchStamp []uint64
 	wayStamp     []uint64
 
-	// dl is the cross-point delta layer (delta.go): while tracing it
-	// notes, per phase of a warm sweep, which history record reproduces
-	// the phase, so later identical sweeps — in this engine or in a
-	// neighboring point's engine seeded from this one — replay from the
-	// records instead of the walker.
+	// dl is the delta layer (delta.go): while tracing it keeps the
+	// record of every phase of a warm sweep, so later identical sweeps
+	// replay from the records instead of the walker.
 	dl deltaState
 
 	skipped uint64
 	cycles  uint64
-	echoes  uint64
 }
 
 // maxUnitRuns bounds the recorded pattern of a single unit; a phase
@@ -277,14 +244,13 @@ type Steady struct {
 // under the cap.
 const maxUnitRuns = 4 << 20
 
-// steadyHistory bounds the phase records kept for cross-phase echo. The
-// paper's single-grid workloads need at most two live shapes (red-black
-// passes), but the delta layer needs every distinct phase shape of a
-// traced sweep resident at once, and a multigrid V-cycle of depth LM
-// has 5·LM−4 of them: rprj3, interp and the residual on levels 2..LM
-// (both finest residuals share one shape), psinv on levels 1..LM and
-// the zero fill on levels 1..LM−1 — 31 at the reference LM=7. 48
-// leaves headroom up to LM=10 (46).
+// steadyHistory bounds the phases of one delta trace, one record each.
+// The paper's single-grid sweeps have one or two phases; a multigrid
+// iteration of depth LM has 5·LM−3: rprj3, interp and the residual on
+// levels 2..LM, psinv on levels 1..LM, the zero fill on levels 1..LM−1
+// and the finest residual once more after the V-cycle — 32 at the
+// reference LM=7 and 47 at LM=10. A longer trace fails and its
+// measured sweeps are walked.
 const steadyHistory = 48
 
 // maxSteadyAnchors bounds the engine-lifetime anchor table. Anchors are
@@ -334,17 +300,17 @@ func newSteady(raw RunSink, levels []*Cache) *Steady {
 }
 
 // SteadyDiag classifies how the engine handled the phases it saw:
-// confirmed plane cycles, completed echoes, and refusals by cause.
-// Refusal counters are per phase; a phase can both refuse detection
-// (RefusedT0) and later echo.
+// confirmed plane cycles and refusals by cause. Refusal counters are
+// per phase.
 type SteadyDiag struct {
 	Phases    uint64 // phases reaching the first marker
 	Confirmed uint64 // plane cycles confirmed
-	// ScopedConfirms and SweepEchoes are always zero: the engine has no
-	// footprint-scoped confirms or whole-sweep echoes. They are kept so
-	// existing readers of the counters keep compiling.
+	// ScopedConfirms, Echoes and SweepEchoes are always zero: the engine
+	// has no footprint-scoped confirms, cross-phase echoes or whole-sweep
+	// echoes. They are kept so existing readers of the counters keep
+	// compiling.
 	ScopedConfirms uint64
-	Echoes         uint64 // phases completed by cross-phase echo
+	Echoes         uint64
 	SweepEchoes    uint64
 	RefusedDelta   uint64 // no uniform translation (Δ=0/mixed) or <2 units
 	RefusedBudget  uint64 // unit work too small to amortize detection
@@ -354,8 +320,8 @@ type SteadyDiag struct {
 
 // String renders the counters compactly for -v diagnostics.
 func (d SteadyDiag) String() string {
-	return fmt.Sprintf("phases=%d confirmed=%d echoes=%d refused[delta=%d budget=%d t0=%d short=%d]",
-		d.Phases, d.Confirmed, d.Echoes,
+	return fmt.Sprintf("phases=%d confirmed=%d refused[delta=%d budget=%d t0=%d short=%d]",
+		d.Phases, d.Confirmed,
 		d.RefusedDelta, d.RefusedBudget, d.RefusedT0, d.RefusedShort)
 }
 
@@ -363,7 +329,6 @@ func (d SteadyDiag) String() string {
 func (s *Steady) Diag() SteadyDiag {
 	d := s.diag
 	d.Confirmed = s.cycles
-	d.Echoes = s.echoes
 	return d
 }
 
@@ -373,9 +338,6 @@ func (s *Steady) SkippedPlanes() uint64 { return s.skipped }
 
 // Cycles returns the number of confirmed steady-state cycles.
 func (s *Steady) Cycles() uint64 { return s.cycles }
-
-// Echoes returns the number of phases completed by cross-phase echo.
-func (s *Steady) Echoes() uint64 { return s.echoes }
 
 // ReplayRuns feeds one batch through the engine.
 func (s *Steady) ReplayRuns(runs []Run) {
@@ -416,15 +378,13 @@ func (s *Steady) ReplayRuns(runs []Run) {
 		}
 	case steadySkip:
 		s.verifyBatch(runs)
-	case steadyEcho:
-		s.echoVerify(runs)
 	case steadyLive:
 		s.replay(runs)
 	}
 }
 
-// PlaneMark processes a phase marker. Every skip and echo commits at
-// its own phase's last marker, so between phases the wrapped levels'
+// PlaneMark processes a phase marker. Every skip commits at its own
+// phase's last marker, so between phases the wrapped levels'
 // statistics and state are always up to date.
 func (s *Steady) PlaneMark(mk PlaneMark) {
 	switch s.mode {
@@ -437,8 +397,6 @@ func (s *Steady) PlaneMark(mk PlaneMark) {
 		s.observeMark(mk)
 	case steadySkip:
 		s.skipMark(mk)
-	case steadyEcho:
-		s.echoMark(mk)
 	case steadyLive:
 		if mk.Index >= mk.Planes-1 {
 			s.mode = steadyIdle
@@ -457,6 +415,9 @@ func (s *Steady) beginPhase() {
 	s.level = 0
 	if s.dl.tracing {
 		s.dl.starts++
+		if s.dl.starts > steadyHistory {
+			s.dl.ok = false
+		}
 	}
 	s.started = false
 	s.recording = true
@@ -468,8 +429,7 @@ func (s *Steady) beginPhase() {
 	s.curAnchors = s.curAnchors[:0]
 	s.curDeltas = s.curDeltas[:0]
 	s.curPins = s.curPins[:0]
-	s.curRecOK = true
-	s.candInit = false
+	s.curRecOK = s.dl.tracing && s.dl.ok
 	s.pinsOK = true
 }
 
@@ -528,11 +488,6 @@ func (s *Steady) observeMark(mk PlaneMark) {
 	}
 	s.finishUnit()
 	if s.mode == steadyObserve {
-		if s.tryEcho() {
-			s.unit++
-			s.started = false
-			return
-		}
 		s.capturePin()
 		if s.aViable && s.unit%s.t0 == 0 {
 			s.takeSnapshot()
@@ -556,7 +511,8 @@ func (s *Steady) observeMark(mk PlaneMark) {
 // phaseViable decides, at the first marker, whether detection is worth
 // attempting for this phase: plane-cycle detection (aViable) needs the
 // translation alignment t0 to fit and enough planes to amortize it;
-// phases that fail that can still be recorded for cross-phase echo.
+// while tracing, phases that fail that are still recorded for the
+// trace.
 func (s *Steady) phaseViable() bool {
 	s.diag.Phases++
 	// A phase with no uniform translation (Δ <= 0: mismatched strides,
@@ -566,7 +522,7 @@ func (s *Steady) phaseViable() bool {
 	// sweep trace, so while tracing such phases proceed with detection
 	// permanently off (unsteady below).
 	unsteady := s.delta <= 0 || s.planes < 2
-	if !s.recording || (unsteady && !s.dl.tracing) {
+	if !s.recording || (unsteady && !s.curRecOK) {
 		s.diag.RefusedDelta++
 		return false
 	}
@@ -596,23 +552,20 @@ func (s *Steady) phaseViable() bool {
 	}
 	if !budget {
 		s.diag.RefusedBudget++
-		if !s.echoAssist() && !s.dl.tracing {
+		if !s.curRecOK {
 			return false
 		}
-		// A sweep of this shape refused before (or a record of it
-		// exists): record anyway so cross-phase echo can confirm the
-		// repeat instead of replaying it in full. While delta-tracing,
-		// record on the first sighting: the trace needs a record of
-		// every phase to reproduce the sweep.
+		// Record anyway: the trace needs a record of every phase to
+		// reproduce the sweep.
 	}
 	if s.nAnchors > maxSteadyAnchors-8 {
 		// Recycle the anchor table between phases so streams with many
-		// distinct phase shapes (per-tile phases) keep detection; the
-		// history records reference anchor indices, so they go too.
+		// distinct phase shapes (per-tile phases) keep detection. The
+		// trace's records reference anchor indices, so the trace dies.
 		s.nAnchors = 0
-		for i := range s.hist {
-			s.hist[i].valid = false
-		}
+		s.dl.ok = false
+		s.dl.stale = s.dl.traced
+		s.curRecOK = false
 	}
 	s.t0 = 1
 	for _, c := range s.levels {
@@ -631,49 +584,20 @@ func (s *Steady) phaseViable() bool {
 				s.diag.RefusedShort++
 			}
 		}
-		if s.planes < 3 && !s.dl.tracing {
-			// Two units cannot carry a pin (pins exclude the first and
-			// last unit), so there is nothing cross-phase echo could use.
-			// The delta layer still wants the record: its replay path can
-			// reproduce a pin-less phase from the anchors alone.
+		if !s.curRecOK {
 			return false
 		}
 	}
-	// Echo pins cost O(slots) each; a phase whose total work cannot
-	// amortize that (per-tile phases against a large L2) skips them and
-	// relies on within-phase detection alone. Echo-assisted phases pin
-	// regardless: the repeat of the whole phase is what is at stake.
+	// Pins cost O(slots) each; a phase whose total work cannot amortize
+	// that (per-tile phases against a large L2) skips them, and its
+	// replay leans on end-state chaining alone. Budget-refused phases
+	// pin regardless: replaying the whole phase is what is at stake.
 	s.pinsOK = !budget || s.curAcc*int64(s.planes) >= int64(s.slots)*16
 	if s.ring == nil {
 		s.ring = make([]steadyPat, s.MaxPeriod+1)
 		s.snaps = make([]steadySnap, s.MaxPeriod+1)
 	}
 	return true
-}
-
-// echoAssist reports whether this phase shape deserves recording even
-// though the budget gate refused detection: either a history record of
-// the shape already exists (echo can confirm the repeat) or the same
-// shape was refused before (so the stream is sweeping repeatedly and
-// recording now pays off one sweep later).
-func (s *Steady) echoAssist() bool {
-	for i := range s.hist {
-		r := &s.hist[i]
-		if r.valid && r.delta == s.delta && r.planes == s.planes && r.level == s.level {
-			return true
-		}
-	}
-	if s.refusedShapes == nil {
-		s.refusedShapes = make(map[[3]int64]uint8)
-	} else if len(s.refusedShapes) > 1024 {
-		clear(s.refusedShapes)
-	}
-	key := [3]int64{s.delta, int64(s.planes), int64(s.level)}
-	seen := s.refusedShapes[key]
-	if seen < 2 {
-		s.refusedShapes[key] = seen + 1
-	}
-	return seen > 0
 }
 
 // finishUnit archives the completed unit in the ring: the anchor its
@@ -709,8 +633,7 @@ func (s *Steady) finishUnit() {
 	s.recordUnit(a, e.delta)
 }
 
-// recordUnit appends one completed unit to the phase record and updates
-// which history records the phase still matches.
+// recordUnit appends one completed unit to the phase record.
 func (s *Steady) recordUnit(a int, delta []Stats) {
 	if !s.curRecOK {
 		return
@@ -723,25 +646,6 @@ func (s *Steady) recordUnit(a int, delta []Stats) {
 	d := make([]Stats, len(delta))
 	copy(d, delta)
 	s.curDeltas = append(s.curDeltas, d)
-	if len(s.hist) == 0 {
-		return
-	}
-	if !s.candInit {
-		s.candInit = true
-		if cap(s.candAlive) < len(s.hist) {
-			s.candAlive = make([]bool, len(s.hist))
-		}
-		s.candAlive = s.candAlive[:len(s.hist)]
-		for i := range s.hist {
-			r := &s.hist[i]
-			s.candAlive[i] = r.valid && r.delta == s.delta && r.planes == s.planes && r.level == s.level
-		}
-	}
-	for i := range s.candAlive {
-		if s.candAlive[i] && (s.unit >= len(s.hist[i].anchors) || s.hist[i].anchors[s.unit] != a) {
-			s.candAlive[i] = false
-		}
-	}
 }
 
 // matchAnchor returns the index of the anchor the current unit's
@@ -896,13 +800,13 @@ func (s *Steady) confirmCycle(T int) {
 	m := remaining / T
 	if m < 1 {
 		// Nothing left to skip; larger periods only shrink m, so stop
-		// paying for snapshots. Recording continues for cross-phase echo.
+		// paying for snapshots. Recording continues for the trace.
 		s.aViable = false
 		return
 	}
-	// The confirm unit is also the best echo pin for this phase: a
-	// repeat sweep that matches it hands echo everything after this
-	// point, which is exactly what detection itself is about to skip.
+	// The confirm unit is also the best pin for this phase: a replay
+	// that matches it commits everything after this point, which is
+	// exactly what detection itself is about to skip.
 	s.forcePin()
 	cur, prev := s.snapAt(s.unit), s.snapAt(s.unit-T)
 	for i := range s.levels {
@@ -1015,7 +919,7 @@ func (s *Steady) skipMark(mk PlaneMark) {
 // uncommitted units are replayed from the ring, the current unit's
 // matched prefix is replayed, then the mismatching batch (if any).
 // Recording resumes mid-unit (the replayed prefix re-enters the pattern
-// buffer) so the phase record can still complete for cross-phase echo.
+// buffer) so the phase record can still complete for the trace.
 func (s *Steady) flush(pending []Run) {
 	if s.commits > 0 {
 		s.applySkip(s.commits)
@@ -1065,70 +969,13 @@ func (s *Steady) flush(pending []Run) {
 	}
 }
 
-// endPhase closes the current phase, archiving its record when it
-// covered every unit. Pin-less records are normally useless (echo needs
-// a pin to enter), but while delta-tracing they are kept anyway: the
-// delta replay path reproduces them from the anchors alone.
+// endPhase closes the current phase, archiving its record into the
+// trace when it covered every unit.
 func (s *Steady) endPhase() {
 	s.mode = steadyIdle
-	if s.curRecOK && len(s.curAnchors) == s.planes && (len(s.curPins) > 0 || s.dl.tracing) {
-		s.deltaNote(s.insertRecord(), -1)
+	if s.curRecOK && len(s.curAnchors) == s.planes {
+		s.archivePhase()
 	}
-}
-
-// insertRecord archives the completed phase record, replacing this phase
-// shape's previous record if present (its pins reflect an older, usually
-// less converged state), then an empty slot, then the least recently
-// used record. It returns the slot written and bumps the slot's content
-// generation, invalidating any delta-trace references to the old record.
-func (s *Steady) insertRecord() int {
-	if s.hist == nil {
-		s.hist = make([]steadyPhase, steadyHistory)
-	}
-	v := -1
-	for i := range s.hist {
-		r := &s.hist[i]
-		if r.valid && r.delta == s.delta && r.planes == s.planes && r.level == s.level && r.anchors[0] == s.curAnchors[0] {
-			v = i
-			break
-		}
-	}
-	if v < 0 {
-		for i := range s.hist {
-			if !s.hist[i].valid {
-				v = i
-				break
-			}
-		}
-	}
-	if v < 0 {
-		v = 0
-		for i := 1; i < len(s.hist); i++ {
-			if s.hist[i].seq < s.hist[v].seq {
-				v = i
-			}
-		}
-	}
-	r := &s.hist[v]
-	s.histSeq++
-	r.valid, r.seq, r.delta, r.planes, r.level = true, s.histSeq, s.delta, s.planes, s.level
-	r.gen++
-	r.anchors = append(r.anchors[:0], s.curAnchors...)
-	r.deltas, s.curDeltas = s.curDeltas, r.deltas[:0]
-	r.pins, s.curPins = s.curPins, r.pins[:0]
-	if r.endTags == nil {
-		r.endTags = make([][]int64, len(s.levels))
-		r.endDirty = make([][]bool, len(s.levels))
-		r.endStamp = make([][]uint64, len(s.levels))
-	}
-	for i, c := range s.levels {
-		r.endTags[i] = append(r.endTags[i][:0], c.tags...)
-		r.endDirty[i] = append(r.endDirty[i][:0], c.dirty...)
-		if c.stamp != nil {
-			r.endStamp[i] = append(r.endStamp[i][:0], c.stamp...)
-		}
-	}
-	return v
 }
 
 func (s *Steady) replayShifted(runs []Run, off int64) {
@@ -1210,10 +1057,11 @@ func (s *Steady) isPinUnit(u int) bool {
 }
 
 // capturePin records an order-normalized state pin at selected units.
-// Pins are how cross-phase echo recognises a phase it has seen before:
-// the earlier a pin matches, the more of the phase echo can skip, so
-// every recorded phase pins — including plane-cycle-viable ones, whose
-// pins let echo beat detection's warm-up on repeat sweeps.
+// Pins are where a delta replay can stop replaying a phase and commit
+// the rest from the record: the earlier a pin matches, the more of the
+// phase it skips, so every recorded phase pins — including
+// plane-cycle-viable ones, whose pins let a replay beat detection's
+// warm-up.
 func (s *Steady) capturePin() {
 	if !s.curRecOK || !s.isPinUnit(s.unit) {
 		return
@@ -1265,156 +1113,6 @@ func (s *Steady) encodeCurrent() {
 		s.encScratch[li] = s.encScratch[li][:len(c.tags)]
 		s.encodeLevel(c, 0, s.encScratch[li], 0)
 	}
-}
-
-// tryEcho checks whether any still-alive history record has a pin at the
-// current unit that equals the live state; if so the rest of the phase
-// is an exact repeat and the engine enters echo mode.
-func (s *Steady) tryEcho() bool {
-	if !s.candInit || !s.curRecOK || s.unit >= s.planes-1 {
-		return false
-	}
-	encoded := false
-	for i := range s.candAlive {
-		if !s.candAlive[i] {
-			continue
-		}
-		r := &s.hist[i]
-		var pin *steadyPin
-		for p := range r.pins {
-			if r.pins[p].unit == s.unit {
-				pin = &r.pins[p]
-				break
-			}
-		}
-		if pin == nil {
-			continue
-		}
-		if !encoded {
-			s.encodeCurrent()
-			encoded = true
-		}
-		if !encEq(s.encScratch, pin.data) {
-			continue
-		}
-		s.enterEcho(i)
-		return true
-	}
-	return false
-}
-
-// enterEcho switches to echo mode against history record i: the summed
-// recorded deltas of the remaining units become the pending stats and
-// every remaining batch is verified against the record.
-func (s *Steady) enterEcho(i int) {
-	r := &s.hist[i]
-	if cap(s.echoPend) < len(s.levels) {
-		s.echoPend = make([]Stats, len(s.levels))
-	}
-	s.echoPend = s.echoPend[:len(s.levels)]
-	for li := range s.echoPend {
-		s.echoPend[li] = Stats{}
-	}
-	for u := s.unit + 1; u < s.planes; u++ {
-		for li, d := range r.deltas[u] {
-			s.echoPend[li] = addStats(s.echoPend[li], d)
-		}
-	}
-	s.echoRec = i
-	s.echoFrom = s.unit
-	s.cursor = 0
-	s.recording = false
-	s.curRecOK = false
-	s.curPat = s.curPat[:0]
-	s.mode = steadyEcho
-	s.histSeq++
-	r.seq = s.histSeq
-}
-
-func (s *Steady) echoRef(unit int) ([]Run, int64) {
-	r := &s.hist[s.echoRec]
-	a := &s.anchors[r.anchors[unit]]
-	return a.runs, int64(unit-a.unit) * s.delta
-}
-
-func (s *Steady) echoVerify(runs []Run) {
-	ref, off := s.echoRef(s.unit)
-	if s.cursor+len(runs) > len(ref) {
-		s.echoFlush(runs)
-		return
-	}
-	want := ref[s.cursor : s.cursor+len(runs)]
-	for i := range runs {
-		x, y := runs[i], want[i]
-		if x.Base != y.Base+off || x.Stride != y.Stride || x.Count != y.Count ||
-			x.Store != y.Store || x.Cont != y.Cont {
-			s.echoFlush(runs)
-			return
-		}
-	}
-	s.cursor += len(runs)
-}
-
-func (s *Steady) echoMark(mk PlaneMark) {
-	bad := mk.Index != s.unit || mk.Delta != s.delta || mk.Planes != s.planes || mk.Level != s.level
-	if !bad {
-		ref, _ := s.echoRef(s.unit)
-		bad = s.cursor != len(ref)
-	}
-	if bad {
-		s.echoFlush(nil)
-		if mk.Index >= mk.Planes-1 {
-			s.mode = steadyIdle
-		}
-		return
-	}
-	s.cursor = 0
-	if mk.Index >= s.planes-1 {
-		s.echoCommit()
-		s.mode = steadyIdle
-		return
-	}
-	s.unit++
-}
-
-// echoCommit completes an echoed phase: the remaining units' stats are
-// the recorded deltas, and the final state is the recorded phase's end
-// state (the echoed phase repeats its stream from the matched pin on).
-func (s *Steady) echoCommit() {
-	r := &s.hist[s.echoRec]
-	for i, c := range s.levels {
-		c.stats = addStats(c.stats, s.echoPend[i])
-		copy(c.tags, r.endTags[i])
-		copy(c.dirty, r.endDirty[i])
-		if c.stamp != nil {
-			copy(c.stamp, r.endStamp[i])
-		}
-	}
-	s.skipped += uint64(s.planes - 1 - s.echoFrom)
-	s.echoes++
-	// An echoed phase repeats the record from the pin on, so the trace
-	// references the echoed slot as this phase's reproduction from there.
-	s.deltaNote(s.echoRec, s.echoFrom)
-}
-
-// echoFlush abandons an in-progress echo exactly: nothing was committed,
-// so the skipped units replay from the record's anchors, then the
-// current unit's verified prefix and the pending batch, and the engine
-// goes live.
-func (s *Steady) echoFlush(pending []Run) {
-	for u := s.echoFrom + 1; u < s.unit; u++ {
-		ref, off := s.echoRef(u)
-		s.replayShifted(ref, off)
-	}
-	if s.cursor > 0 {
-		ref, off := s.echoRef(s.unit)
-		s.replayShifted(ref[:s.cursor], off)
-	}
-	s.cursor = 0
-	if len(pending) > 0 {
-		s.replay(pending)
-	}
-	s.mode = steadyLive
 }
 
 func encEq(a, b [][]int64) bool {

@@ -84,13 +84,9 @@ type SimulatedExperiment struct {
 // fresh hierarchy with cache.WarmMeasure: one warm-up iteration (a
 // V-cycle plus the finest residual) is traced and excluded, and the
 // measured iteration is reproduced from the trace by the steady
-// engine's delta layer. That holds for the original solver and the
-// GcdPad, Pad and Euc3D plans at the reference LM=7; on shallower
-// cycles the second finest residual usually fails to echo the first
-// and re-records over its record, the trace goes stale, and the
-// iteration is walked through the engine instead. Either way the
-// statistics equal a raw replay of the same two iterations.
-// accessCycles, l1Miss and l2Miss parameterize the time model.
+// engine's delta layer. The statistics equal a raw replay of the same
+// two iterations. accessCycles, l1Miss and l2Miss parameterize the time
+// model.
 func RunSimulatedExperiment(lm, cs int, m core.Method, l1, l2 cache.Config, accessCycles, l1Miss, l2Miss float64) SimulatedExperiment {
 	orig, _ := simulateIteration(lm, core.Plan{}, l1, l2)
 	tiled, _ := simulateIteration(lm, residPlan(lm, cs, m), l1, l2)
@@ -118,7 +114,7 @@ func simulateIteration(lm int, p core.Plan, l1, l2 cache.Config) (*cache.Hierarc
 	s := New(Params{LM: lm, Plan: p})
 	h := cache.MustHierarchy(l1, l2) //lint:allow mustcheck -- fixed valid configs from the caller
 	sd := cache.NewSteady(h)
-	cache.WarmMeasure(h, sd, 1, true, s.traceIterationRuns)
+	cache.WarmMeasure(h, sd, 1, s.traceIterationRuns)
 	return h, sd.DeltaInfo()
 }
 

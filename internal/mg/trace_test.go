@@ -91,12 +91,10 @@ func TestTraceVCycleCountsMatchTransform(t *testing.T) {
 }
 
 // TestSteadyMultigridLevels is the differential for the level-tagged
-// phase markers: V-cycles replayed through the steady engine must
-// produce bit-identical statistics and cache state to a raw replay at
-// every cycle end, and the engine must actually detect cycles across
-// the repeated V-cycles (same-shape phases on different grid levels
-// are distinguished by the level tag, so the history does not
-// thrash).
+// phase markers under the production protocol: the first V-cycle is
+// traced through the steady engine and the next two are replayed from
+// the trace, and statistics and cache state must equal a raw replay's
+// at every cycle end. Both replays must come from the trace.
 func TestSteadyMultigridLevels(t *testing.T) {
 	cases := []struct {
 		lm   int
@@ -114,7 +112,17 @@ func TestSteadyMultigridLevels(t *testing.T) {
 		ss := New(Params{LM: tc.lm, Plan: tc.plan})
 		for cyc := 0; cyc < 3; cyc++ {
 			sr.traceIterationRuns(raw)
-			ss.traceIterationRuns(sd)
+			switch {
+			case cyc == 0:
+				sd.DeltaTraceBegin()
+				ss.traceIterationRuns(sd)
+				if !sd.DeltaTraceEnd() {
+					t.Fatalf("LM=%d tiled=%v: the first V-cycle left no complete trace: %s",
+						tc.lm, tc.plan.Tiled, sd.DeltaInfo())
+				}
+			case !sd.ReplayDeltaSweep():
+				ss.traceIterationRuns(sd)
+			}
 			for l := 0; l < 2; l++ {
 				if raw.Level(l).Stats() != st.Level(l).Stats() {
 					t.Errorf("LM=%d tiled=%v cycle %d: L%d stats diverge: steady %+v, raw %+v",
@@ -125,9 +133,8 @@ func TestSteadyMultigridLevels(t *testing.T) {
 				}
 			}
 		}
-		d := sd.Diag()
-		if d.Confirmed+d.Echoes == 0 {
-			t.Errorf("LM=%d tiled=%v: steady engine never engaged on the V-cycle: %+v", tc.lm, tc.plan.Tiled, d)
+		if d := sd.DeltaInfo(); d.Sweeps != 2 {
+			t.Errorf("LM=%d tiled=%v: %d of 2 V-cycles replayed from the trace: %s", tc.lm, tc.plan.Tiled, d.Sweeps, d)
 		}
 	}
 }
@@ -172,27 +179,32 @@ func TestDeltaRunSimulatedExperiment(t *testing.T) {
 
 // TestDeltaSimulatedExperimentReference pins the Section 4.6 reference
 // configuration (LM=7, GcdPad, 16K L1) to the raw protocol's values and
-// requires both solvers' measured iterations to come from delta replay,
-// so a history or anchor table too small for the V-cycle fails here.
+// requires both solvers' measured iterations to come from delta replay
+// at LM 5, 6 and 7, so a trace or anchor table too small for the
+// V-cycle fails here.
 func TestDeltaSimulatedExperimentReference(t *testing.T) {
 	if testing.Short() {
 		t.Skip("LM=7 V-cycles")
 	}
 	l1, l2 := cache.UltraSparc2L1(), cache.UltraSparc2L2()
-	orig, od := simulateIteration(7, core.Plan{}, l1, l2)
-	tiled, td := simulateIteration(7, residPlan(7, 2048, core.MethodGcdPad), l1, l2)
-	res := compareSimulated(orig, tiled, 1, 8, 50)
-	want := SimulatedExperiment{
-		OrigL1:         6.581658580675344,
-		TiledL1:        5.723933411602373,
-		ImprovementPct: 4.642566068060017,
-	}
-	if res != want {
-		t.Errorf("LM=7 GcdPad/2048: got %+v, want %+v", res, want)
-	}
-	for name, d := range map[string]cache.DeltaDiag{"orig": od, "tiled": td} {
-		if !d.Traced || d.Sweeps != 1 {
-			t.Errorf("%s solver's measured iteration was not delta-replayed: %s", name, d)
+	for lm := 5; lm <= 7; lm++ {
+		orig, od := simulateIteration(lm, core.Plan{}, l1, l2)
+		tiled, td := simulateIteration(lm, residPlan(lm, 2048, core.MethodGcdPad), l1, l2)
+		if lm == 7 {
+			res := compareSimulated(orig, tiled, 1, 8, 50)
+			want := SimulatedExperiment{
+				OrigL1:         6.581658580675344,
+				TiledL1:        5.723933411602373,
+				ImprovementPct: 4.642566068060017,
+			}
+			if res != want {
+				t.Errorf("LM=7 GcdPad/2048: got %+v, want %+v", res, want)
+			}
+		}
+		for name, d := range map[string]cache.DeltaDiag{"orig": od, "tiled": td} {
+			if !d.Traced || d.Sweeps != 1 || d.Fallbacks != 0 {
+				t.Errorf("LM=%d: %s solver's measured iteration was not delta-replayed: %s", lm, name, d)
+			}
 		}
 	}
 }

@@ -99,9 +99,9 @@ func TestSteadyDifferentialKernels(t *testing.T) {
 // TestSteadyDifferentialAllMethods is the production-path differential:
 // every kernel under every paper method, with the REAL selection plans
 // (core.Select against a scaled cache) and the engine's production
-// gate — MinUnitAccesses zero, so the default budget gate and
-// cross-phase echo run exactly as the bench harness runs them. Every
-// configuration must be bit-identical to full replay.
+// gate — MinUnitAccesses zero, so the default budget gate runs exactly
+// as the bench harness runs it. Every configuration must be
+// bit-identical to full replay.
 func TestSteadyDifferentialAllMethods(t *testing.T) {
 	cfgs := []cache.Config{
 		{SizeBytes: 4 << 10, LineBytes: 32},
@@ -187,8 +187,8 @@ func TestSteadyRandomGeometry(t *testing.T) {
 		}
 		w := stencil.NewTraceWorkload(k, n, depth, plan)
 		steadyCompare(t, k.String()+"/random", w, 2, cfgs...)
-		// Same geometry under the production gate (default budget,
-		// cross-phase echo): must also be exact.
+		// Same geometry under the production gate (default budget):
+		// must also be exact.
 		steadyCompareTuned(t, k.String()+"/random-prod", w, 2, nil, cfgs...)
 	}
 }
@@ -239,10 +239,7 @@ func TestSteadyTLBDifferential(t *testing.T) {
 			t.Errorf("%s: expected the steady engine to skip planes", tc.name)
 		}
 		if !tc.wantS && st.Cycles() != 0 {
-			// Plane-cycle detection must refuse the unalignable stride;
-			// cross-phase echo may still skip repeated sweeps (it needs
-			// no translation alignment), which the stats comparison
-			// above proves exact.
+			// Plane-cycle detection must refuse the unalignable stride.
 			t.Errorf("%s: expected plane-cycle detection to be refused, confirmed %d cycles", tc.name, st.Cycles())
 		}
 		if !mems[0].TLB.StateEqual(mems[2].TLB) {
