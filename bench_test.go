@@ -223,7 +223,7 @@ func BenchmarkAblationThreeLoop(b *testing.B) {
 	}
 	b.Run("TwoLoops", func(b *testing.B) {
 		run(b, func(mem cache.Memory) {
-			stencil.JacobiTiledTrace(w.Grids[0], w.Grids[1], mem, plan.Tile.TI, plan.Tile.TJ)
+			w.RunTrace(mem)
 		})
 	})
 	b.Run("ThreeLoops", func(b *testing.B) {
@@ -352,6 +352,56 @@ func BenchmarkReplayRuns(b *testing.B) {
 				w.ReplayTrace(h)
 			}
 			reportAccessRate(b, accesses)
+		})
+	}
+}
+
+// emitCounter is a counting sink that also takes phase markers, so a
+// trace emission into it costs the emitter alone, markers included.
+type emitCounter struct {
+	accesses, marks int64
+}
+
+func (c *emitCounter) ReplayRuns(runs []cache.Run) {
+	for _, r := range runs {
+		c.accesses += int64(r.Count)
+	}
+}
+
+func (c *emitCounter) PlaneMark(cache.PlaneMark) { c.marks++ }
+
+// BenchmarkTraceEmit measures the cost of producing the simulated
+// address streams, without simulating them: one kernel sweep per
+// kernel x {Orig, GcdPad} at N=300, K=30, and one §4.6 V-cycle at LM=7
+// for the original and the GcdPad-transformed solver, each emitted into
+// a counting sink. Metrics are ns/op (one sweep or V-cycle) and
+// Maccess/s.
+func BenchmarkTraceEmit(b *testing.B) {
+	const n, depth = 300, 30
+	for _, k := range stencil.Kernels() {
+		for _, m := range []core.Method{core.Orig, core.MethodGcdPad} {
+			w := stencil.NewTraceWorkload(k, n, depth, core.Select(m, 2048, n, n, k.Spec()))
+			b.Run(k.String()+"/"+m.String(), func(b *testing.B) {
+				var c emitCounter
+				for i := 0; i < b.N; i++ {
+					w.ReplayTrace(&c)
+				}
+				reportAccessRate(b, float64(w.AccessCount()))
+			})
+		}
+	}
+	const lm = 7
+	fm := (1 << lm) + 2
+	for _, m := range []core.Method{core.Orig, core.MethodGcdPad} {
+		s := mg.New(mg.Params{LM: lm, Plan: core.Select(m, 2048, fm, fm, stencil.Resid.Spec())})
+		var perCycle emitCounter
+		s.TraceVCycleRuns(&perCycle)
+		b.Run("VCycle/"+m.String(), func(b *testing.B) {
+			var c emitCounter
+			for i := 0; i < b.N; i++ {
+				s.TraceVCycleRuns(&c)
+			}
+			reportAccessRate(b, float64(perCycle.accesses))
 		})
 	}
 }

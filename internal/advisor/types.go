@@ -81,8 +81,8 @@ type PlanRequest struct {
 	Kernel string `json:"kernel,omitempty"`
 	// Program is a stencil listing in the repository's input language;
 	// Params supplies its size parameters. Listings are analyzed and
-	// planned but not simulated (the trace walkers only exist for the
-	// built-in kernels), so their miss predictions are always analytic.
+	// planned but not simulated, so their miss predictions are always
+	// analytic.
 	Program string         `json:"program,omitempty"`
 	Params  map[string]int `json:"params,omitempty"`
 	// N is the problem size the plan targets; K the third array extent

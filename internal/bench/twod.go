@@ -32,13 +32,11 @@ func TwoDSeries(sizes []int, l1 cache.Config, opt Options) []TwoDPoint {
 			a := arena.Place2D(grid.New2D(n, n))
 			b := arena.Place2D(grid.New2D(n, n))
 			h := cache.MustHierarchy(l1) //lint:allow mustcheck -- l1 comes from validated Options
-			opt.warmMeasure(h, func(sink cache.RunSink) {
-				if tiled {
-					stencil.Jacobi2DTiledRuns(a, b, sink, cs/8)
-				} else {
-					stencil.Jacobi2DOrigRuns(a, b, sink)
-				}
-			})
+			ti := 0
+			if tiled {
+				ti = cs / 8
+			}
+			opt.warmMeasure(h, func(sink cache.RunSink) { stencil.ReplayJacobi2D(a, b, ti, sink) })
 			return h.Level(0).Stats().MissRate()
 		}
 		out[i] = TwoDPoint{N: n, Orig: run(false), Tiled: run(true)}

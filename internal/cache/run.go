@@ -35,7 +35,8 @@ type Run struct {
 }
 
 // RunSink consumes a batched address stream. Implementations must not
-// retain the slice: walkers reuse their run buffers between calls.
+// retain or modify the slice: emitters reuse their run buffers between
+// calls and rewrite only the fields that change.
 type RunSink interface {
 	ReplayRuns(runs []Run)
 }

@@ -35,9 +35,10 @@ func JacobiNest(n, depth int) *Nest {
 
 // RedBlackNest builds one color pass of the red-black SOR sweep
 // (Figure 12) as a rectangular step-2 nest over one n x n x depth array:
-// A(i,j,k) = C1*A(i,j,k) + C2*(6-point sum of A). The IR's rectangular
-// iteration space cannot carry the per-row parity offset of the real
-// kernel, so the nest over-approximates one color by a fixed stride-2
+// A(i,j,k) = C1*A(i,j,k) + C2*(6-point sum of A). Loop.Align can express
+// the per-row parity offset of the real kernel (the trace nests in
+// internal/stencil use it), but the dependence analysis does not read
+// Align, so this nest over-approximates one color by a fixed stride-2
 // start — exactly what a dependence analyzer must handle conservatively:
 // the in-place update carries plane- and row-distance dependences, and
 // the unit I-distances are unrealizable under the step-2 inner loop.
@@ -249,17 +250,16 @@ func TimePipelineNest(steps, planes int) *Nest {
 // only the iteration's own point, and R is never written, so the nest
 // carries no loop-carried dependences — every plane (and every tile) is
 // independent.
+//
+// The body lists the 27 R operands in the operator's per-point order
+// (center row, faces, edges, corners), then the U read and store.
 func PsinvNest(m int) *Nest {
 	i, j, k := Var("I", 0), Var("J", 0), Var("K", 0)
-	body := []Ref{Load("U", i, j, k)}
-	for dk := -1; dk <= 1; dk++ {
-		for dj := -1; dj <= 1; dj++ {
-			for di := -1; di <= 1; di++ {
-				body = append(body, Load("R", i.Plus(di), j.Plus(dj), k.Plus(dk)))
-			}
-		}
+	var body []Ref
+	for _, d := range psinvOrder {
+		body = append(body, Load("R", i.Plus(d[0]), j.Plus(d[1]), k.Plus(d[2])))
 	}
-	body = append(body, StoreRef("U", i, j, k))
+	body = append(body, Load("U", i, j, k), StoreRef("U", i, j, k))
 	return &Nest{
 		Loops: []Loop{
 			SimpleLoop("K", 1, m-2),
@@ -270,22 +270,34 @@ func PsinvNest(m int) *Nest {
 	}
 }
 
+// psinvOrder is the smoother's per-point operand order as (di, dj, dk)
+// offsets: the center, its six faces, the twelve edges, the eight corners.
+var psinvOrder = [27][3]int{
+	{0, 0, 0}, {-1, 0, 0}, {1, 0, 0},
+	{0, -1, 0}, {0, 1, 0}, {0, 0, -1}, {0, 0, 1},
+	{-1, -1, 0}, {1, -1, 0}, {-1, 1, 0}, {1, 1, 0},
+	{0, -1, -1}, {0, 1, -1}, {0, -1, 1}, {0, 1, 1},
+	{-1, 0, -1}, {1, 0, -1}, {-1, 0, 1}, {1, 0, 1},
+	{-1, -1, -1}, {1, -1, -1}, {-1, 1, -1}, {1, 1, -1},
+	{-1, -1, 1}, {1, -1, 1}, {-1, 1, 1}, {1, 1, 1},
+}
+
 // Rprj3Nest models the MG restriction coarse = R fine: coarse point
 // (I,J,K) reads fine points around (2I,2J,2K). The fine array is never
 // written and every coarse point is written once, so the nest carries no
 // dependences; the scaled subscripts exercise the analyzer's
-// coeff*var+const support.
+// coeff*var+const support. The body visits the nine fine (J, K) rows in
+// the operator's order (center, faces, edges), each at I offsets -1, 0,
+// +1, then stores the coarse point.
 func Rprj3Nest(mc int) *Nest {
 	i, j, k := Var("I", 0), Var("J", 0), Var("K", 0)
 	fi := Expr{Coeff: map[string]int{"I": 2}}
 	fj := Expr{Coeff: map[string]int{"J": 2}}
 	fk := Expr{Coeff: map[string]int{"K": 2}}
 	var body []Ref
-	for dk := -1; dk <= 1; dk++ {
-		for dj := -1; dj <= 1; dj++ {
-			for di := -1; di <= 1; di++ {
-				body = append(body, Load("FINE", fi.Plus(di), fj.Plus(dj), fk.Plus(dk)))
-			}
+	for _, d := range [9][2]int{{0, 0}, {-1, 0}, {1, 0}, {0, -1}, {0, 1}, {-1, -1}, {1, -1}, {-1, 1}, {1, 1}} {
+		for di := -1; di <= 1; di++ {
+			body = append(body, Load("FINE", fi.Plus(di), fj.Plus(d[0]), fk.Plus(d[1])))
 		}
 	}
 	body = append(body, StoreRef("COARSE", i, j, k))

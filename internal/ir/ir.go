@@ -130,6 +130,12 @@ type Loop struct {
 	Name   string
 	Lo, Hi Bound
 	Step   int
+	// Align, when non-nil, starts the loop at the least value v >= max(Lo)
+	// with v = Align (mod Step): the per-row colour parity of a red-black
+	// sweep, I = 2 + mod(K+J+1, 2) in the Fortran. Only trace nests set
+	// it; the dependence analysis, interpreter and code generator read
+	// loops without it.
+	Align *Expr
 }
 
 // SimpleLoop builds a loop with constant bounds and unit step.
@@ -199,6 +205,10 @@ func (n *Nest) Clone() *Nest {
 		for _, e := range l.Hi.Exprs {
 			nl.Hi.Exprs = append(nl.Hi.Exprs, e.clone())
 		}
+		if l.Align != nil {
+			a := l.Align.clone()
+			nl.Align = &a
+		}
 		c.Loops[i] = nl
 	}
 	for i, r := range n.Body {
@@ -256,6 +266,9 @@ func (n *Nest) RenameVar(old, new string) error {
 		for ei := range n.Loops[li].Hi.Exprs {
 			renameInExpr(&n.Loops[li].Hi.Exprs[ei])
 		}
+		if n.Loops[li].Align != nil {
+			renameInExpr(n.Loops[li].Align)
+		}
 	}
 	for ri := range n.Body {
 		for si := range n.Body[ri].Subs {
@@ -310,6 +323,9 @@ func (n *Nest) String() string {
 		fmt.Fprintf(&b, "%sdo %s = %s, %s", indent, l.Name, loS, hiS)
 		if l.Step != 1 {
 			fmt.Fprintf(&b, ", %d", l.Step)
+		}
+		if l.Align != nil {
+			fmt.Fprintf(&b, "  ! aligned to %s", l.Align)
 		}
 		b.WriteString("\n")
 	}

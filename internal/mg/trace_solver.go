@@ -1,10 +1,15 @@
 package mg
 
 import (
+	"fmt"
+
 	"tiling3d/internal/cache"
 	"tiling3d/internal/core"
 	"tiling3d/internal/grid"
+	"tiling3d/internal/ir"
 	"tiling3d/internal/stencil"
+	"tiling3d/internal/trace"
+	"tiling3d/internal/transform"
 )
 
 // TraceVCycleRuns replays one V-cycle's complete address stream — every
@@ -13,38 +18,34 @@ import (
 // as VCycle does. This turns Section 4.6 into an end-to-end simulation:
 // the whole application's miss rate with and without the transformation.
 //
-// Each operator's sink is wrapped in cache.WithLevel with the grid
-// level it walks, so the steady engine sees same-shape phases on
-// different levels as distinct (a V-cycle revisits every level's
-// geometry every cycle; without the tag the smaller levels' phases
-// would collide in its history).
+// Each operator is an ir nest compiled against its grids inside the
+// call, and its markers carry, through cache.WithLevel, the grid level
+// it walks, so the steady engine sees same-shape phases on different
+// levels as distinct (a V-cycle revisits every level's geometry every
+// cycle; without the tag the smaller levels' phases would collide in its
+// history).
 func (s *Solver) TraceVCycleRuns(sink cache.RunSink) {
 	lm := s.p.LM
 	for l := lm; l >= 2; l-- {
-		rprj3Runs(s.r[l-1], s.r[l], cache.WithLevel(sink, l))
+		rprj3Op(s.r[l-1], s.r[l]).replay(sink, l)
 	}
-	fillRuns(s.u[1], cache.WithLevel(sink, 1))
-	psinvRuns(s.u[1], s.r[1], cache.WithLevel(sink, 1), 0, 0, false)
+	fillOp(s.u[1]).replay(sink, 1)
+	psinvOp(s.u[1], s.r[1], core.Plan{}).replay(sink, 1)
 	for l := 2; l < lm; l++ {
-		fillRuns(s.u[l], cache.WithLevel(sink, l))
-		interpRuns(s.u[l], s.u[l-1], cache.WithLevel(sink, l))
+		fillOp(s.u[l]).replay(sink, l)
+		interpOp(s.u[l], s.u[l-1]).replay(sink, l)
 		s.traceResidLevelRuns(l, s.r[l], sink)
-		psinvRuns(s.u[l], s.r[l], cache.WithLevel(sink, l), 0, 0, false)
+		psinvOp(s.u[l], s.r[l], core.Plan{}).replay(sink, l)
 	}
 	if lm >= 2 {
-		interpRuns(s.u[lm], s.u[lm-1], cache.WithLevel(sink, lm))
+		interpOp(s.u[lm], s.u[lm-1]).replay(sink, lm)
 	}
 	s.traceResidLevelRuns(lm, s.v, sink)
-	if s.p.TileSmoother && s.p.Plan.Tiled {
-		psinvRuns(s.u[lm], s.r[lm], cache.WithLevel(sink, lm), s.p.Plan.Tile.TI, s.p.Plan.Tile.TJ, true)
-	} else {
-		psinvRuns(s.u[lm], s.r[lm], cache.WithLevel(sink, lm), 0, 0, false)
+	smoother := core.Plan{}
+	if s.p.TileSmoother {
+		smoother = s.p.Plan
 	}
-}
-
-// TraceVCycle replays the V-cycle per access into mem.
-func (s *Solver) TraceVCycle(mem cache.Memory) {
-	s.TraceVCycleRuns(cache.PerAccess{Mem: mem})
+	psinvOp(s.u[lm], s.r[lm], smoother).replay(sink, lm)
 }
 
 // TraceResidRuns replays the finest-level residual in batched form,
@@ -53,18 +54,63 @@ func (s *Solver) TraceResidRuns(sink cache.RunSink) {
 	s.traceResidLevelRuns(s.p.LM, s.v, sink)
 }
 
-// TraceResid replays the finest-level residual per access.
-func (s *Solver) TraceResid(mem cache.Memory) {
-	s.TraceResidRuns(cache.PerAccess{Mem: mem})
+func (s *Solver) traceResidLevelRuns(l int, v *grid.Grid3D, sink cache.RunSink) {
+	plan := core.Plan{}
+	if l == s.p.LM {
+		plan = s.p.Plan
+	}
+	stencil.Replay(stencil.Resid, plan, []*grid.Grid3D{s.r[l], v, s.u[l]}, cache.WithLevel(sink, l))
 }
 
-func (s *Solver) traceResidLevelRuns(l int, v *grid.Grid3D, sink cache.RunSink) {
-	sink = cache.WithLevel(sink, l)
-	if l == s.p.LM && s.p.Plan.Tiled {
-		stencil.ResidTiledRuns(s.r[l], v, s.u[l], sink, s.p.Plan.Tile.TI, s.p.Plan.Tile.TJ)
-		return
+// op is one operator application to trace: its nest and the bindings of
+// the arrays the nest names.
+type op struct {
+	nest *ir.Nest
+	env  map[string]trace.Binding
+}
+
+// replay compiles the operator and emits its stream into sink, every
+// marker tagged with grid level l. The nests are built from the solver's
+// own grids, so a failure to compile is an internal error.
+func (o op) replay(sink cache.RunSink, l int) {
+	if err := trace.RunBatchedNest(o.nest, o.env, cache.WithLevel(sink, l)); err != nil {
+		panic(fmt.Sprintf("mg: %v", err))
 	}
-	stencil.ResidOrigRuns(s.r[l], v, s.u[l], sink)
+}
+
+// psinvOp is u = u + C r, tiled per plan: per point the 27 r operands,
+// the read of u (it accumulates), then the store of u.
+func psinvOp(u, r *grid.Grid3D, plan core.Plan) op {
+	n := ir.PsinvNest(u.NI)
+	if plan.Tiled {
+		var err error
+		if n, err = transform.ApplyPlan(n, plan); err != nil {
+			panic(fmt.Sprintf("mg: %v", err))
+		}
+	}
+	return op{n, map[string]trace.Binding{"U": trace.Bind3D(u), "R": trace.Bind3D(r)}}
+}
+
+// rprj3Op is the restriction: 27 fine loads per coarse point, then the
+// coarse store.
+func rprj3Op(coarse, fine *grid.Grid3D) op {
+	return op{ir.Rprj3Nest(coarse.NI), map[string]trace.Binding{"COARSE": trace.Bind3D(coarse), "FINE": trace.Bind3D(fine)}}
+}
+
+// interpOp is the prolongation: per coarse cell the 8 corner loads, then
+// a read-modify-write of each of the 8 fine targets.
+func interpOp(fine, coarse *grid.Grid3D) op {
+	return op{ir.InterpNest(coarse.NI), map[string]trace.Binding{"COARSE": trace.Bind3D(coarse), "FINE": trace.Bind3D(fine)}}
+}
+
+// fillOp is zeroing a grid: one store per allocated element, as a single
+// phase unit.
+func fillOp(g *grid.Grid3D) op {
+	n := &ir.Nest{
+		Loops: []ir.Loop{ir.SimpleLoop("X", 0, 0), ir.SimpleLoop("I", 0, g.Elems()-1)},
+		Body:  []ir.Ref{ir.StoreRef("G", ir.Var("I", 0))},
+	}
+	return op{n, map[string]trace.Binding{"G": {Base: g.Base(), Strides: []int64{1}}}}
 }
 
 // SimulatedExperiment replays a full V-cycle (plus the finest residual,

@@ -14,14 +14,14 @@ func TestOperatorTraceCounts(t *testing.T) {
 	fine := grid.New3D(mf, mf, mf)
 
 	var mem cache.NullMemory
-	rprj3Trace(coarse, fine, &mem)
+	rprj3Op(coarse, fine).replay(cache.PerAccess{Mem: &mem}, 0)
 	pts := uint64((mc - 2) * (mc - 2) * (mc - 2))
 	if mem.LoadCount != pts*27 || mem.StoreCount != pts {
 		t.Errorf("rprj3 trace: %d loads, %d stores; want %d, %d", mem.LoadCount, mem.StoreCount, pts*27, pts)
 	}
 
 	mem = cache.NullMemory{}
-	interpTrace(fine, coarse, &mem)
+	interpOp(fine, coarse).replay(cache.PerAccess{Mem: &mem}, 0)
 	cells := uint64((mc - 1) * (mc - 1) * (mc - 1))
 	if mem.LoadCount != cells*16 || mem.StoreCount != cells*8 {
 		t.Errorf("interp trace: %d loads, %d stores; want %d, %d", mem.LoadCount, mem.StoreCount, cells*16, cells*8)
@@ -30,7 +30,7 @@ func TestOperatorTraceCounts(t *testing.T) {
 	mem = cache.NullMemory{}
 	u := grid.New3D(mf, mf, mf)
 	r := grid.New3D(mf, mf, mf)
-	psinvTrace(u, r, &mem, 0, 0, false)
+	psinvOp(u, r, core.Plan{}).replay(cache.PerAccess{Mem: &mem}, 0)
 	fpts := uint64((mf - 2) * (mf - 2) * (mf - 2))
 	if mem.LoadCount != fpts*28 || mem.StoreCount != fpts {
 		t.Errorf("psinv trace: %d loads, %d stores; want %d, %d", mem.LoadCount, mem.StoreCount, fpts*28, fpts)
@@ -38,14 +38,14 @@ func TestOperatorTraceCounts(t *testing.T) {
 
 	// The tiled psinv trace is a permutation: same counts.
 	var tiledMem cache.NullMemory
-	psinvTrace(u, r, &tiledMem, 3, 4, true)
+	psinvOp(u, r, core.Plan{Tile: core.Tile{TI: 3, TJ: 4}, Tiled: true}).replay(cache.PerAccess{Mem: &tiledMem}, 0)
 	if tiledMem.LoadCount != mem.LoadCount || tiledMem.StoreCount != mem.StoreCount {
 		t.Errorf("tiled psinv trace differs: %d/%d vs %d/%d",
 			tiledMem.LoadCount, tiledMem.StoreCount, mem.LoadCount, mem.StoreCount)
 	}
 
 	mem = cache.NullMemory{}
-	fillTrace(u, &mem)
+	fillOp(u).replay(cache.PerAccess{Mem: &mem}, 0)
 	if mem.StoreCount != uint64(u.Elems()) || mem.LoadCount != 0 {
 		t.Errorf("fill trace: %d stores, want %d", mem.StoreCount, u.Elems())
 	}
@@ -79,8 +79,8 @@ func TestTraceVCycleCountsMatchTransform(t *testing.T) {
 	fm := (1 << lm) + 2
 	plan := core.Select(core.MethodGcdPad, 256, fm, fm, core.Resid27pt())
 	var a, b cache.NullMemory
-	New(Params{LM: lm}).TraceVCycle(&a)
-	New(Params{LM: lm, Plan: plan}).TraceVCycle(&b)
+	New(Params{LM: lm}).TraceVCycleRuns(cache.PerAccess{Mem: &a})
+	New(Params{LM: lm, Plan: plan}).TraceVCycleRuns(cache.PerAccess{Mem: &b})
 	if a.LoadCount != b.LoadCount || a.StoreCount != b.StoreCount {
 		t.Errorf("tiled V-cycle counts %d/%d differ from orig %d/%d",
 			b.LoadCount, b.StoreCount, a.LoadCount, a.StoreCount)

@@ -136,10 +136,10 @@ func Checks() []Check {
 				// with core.CrossPlacement recovers the loss.
 				o := quickOptions()
 				plan := o.Plan(stencil.Resid, core.MethodGcdPad, 300)
-				aligned := simulateWorkload(stencil.NewWorkload(stencil.Resid, 300, o.K, plan, o.Coeffs), o)
+				aligned := simulateWorkload(stencil.NewTraceWorkload(stencil.Resid, 300, o.K, plan), o)
 				sizes := []int{plan.DI * plan.DJ * o.K, plan.DI * plan.DJ * o.K, plan.DI * plan.DJ * o.K}
 				gaps := core.CrossPlacement(o.CacheElems(), sizes)
-				spread := simulateWorkload(stencil.NewWorkloadPlaced(stencil.Resid, 300, o.K, plan, o.Coeffs, gaps), o)
+				spread := simulateWorkload(stencil.NewTraceWorkloadPlaced(stencil.Resid, 300, o.K, plan, gaps), o)
 				got := fmt.Sprintf("aligned %.1f%%, inter-padded %.1f%%", aligned, spread)
 				return got, spread < aligned-2
 			},
@@ -242,12 +242,11 @@ func Checks() []Check {
 	}
 }
 
-// simulateWorkload measures one workload's warm L1 miss rate.
+// simulateWorkload measures one workload's warm L1 miss rate: one
+// warm-up sweep, then one measured sweep, both batched.
 func simulateWorkload(w *stencil.Workload, opt bench.Options) float64 {
 	h := cache.MustHierarchy(opt.L1, opt.L2) //lint:allow mustcheck -- Options geometry validated upstream
-	w.RunTrace(h)
-	h.ResetStats()
-	w.RunTrace(h)
+	cache.WarmMeasure(h, nil, 1, w.ReplayTrace)
 	return h.Level(0).Stats().MissRate()
 }
 

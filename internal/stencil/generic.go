@@ -6,11 +6,13 @@ import (
 	"tiling3d/internal/cache"
 	"tiling3d/internal/core"
 	"tiling3d/internal/grid"
+	"tiling3d/internal/ir"
+	"tiling3d/internal/trace"
 )
 
 // Generic stencils: beyond the paper's three kernels, the library lets a
 // user define any weighted 3D stencil and get the original nest, the
-// paper's tiled nest, the address-trace walkers and the selection inputs
+// paper's tiled nest, the address-trace nests and the selection inputs
 // (core.Stencil) derived from the taps — the full treatment JACOBI and
 // RESID receive, for arbitrary shapes.
 
@@ -131,29 +133,26 @@ func (s Shape) applyBlock(dst, src *grid.Grid3D, loI, hiI, loJ, hiJ, loK, hiK in
 // Trace replays the shape's address stream (taps in declaration order,
 // then the store), tiled or not.
 func (s Shape) Trace(dst, src *grid.Grid3D, mem cache.Memory, plan core.Plan) {
+	i, j, k := ir.Var("I", 0), ir.Var("J", 0), ir.Var("K", 0)
+	var body []ir.Ref
+	for _, t := range s.Taps {
+		body = append(body, ir.Load("SRC", i.Plus(t.DI), j.Plus(t.DJ), k.Plus(t.DK)))
+	}
+	body = append(body, ir.StoreRef("DST", i, j, k))
 	ri, rj, rk := s.Reach()
-	loI, hiI := ri, src.NI-1-ri
-	loJ, hiJ := rj, src.NJ-1-rj
-	loK, hiK := rk, src.NK-1-rk
-	block := func(bLoI, bHiI, bLoJ, bHiJ int) {
-		for k := loK; k <= hiK; k++ {
-			for j := bLoJ; j <= bHiJ; j++ {
-				for i := bLoI; i <= bHiI; i++ {
-					for _, t := range s.Taps {
-						mem.Load(src.Addr(i+t.DI, j+t.DJ, k+t.DK) * grid.ElemSize)
-					}
-					mem.Store(dst.Addr(i, j, k) * grid.ElemSize)
-				}
-			}
-		}
-	}
-	if !plan.Tiled {
-		block(loI, hiI, loJ, hiJ)
-		return
-	}
-	for jj := loJ; jj <= hiJ; jj += plan.Tile.TJ {
-		for ii := loI; ii <= hiI; ii += plan.Tile.TI {
-			block(ii, min(ii+plan.Tile.TI-1, hiI), jj, min(jj+plan.Tile.TJ-1, hiJ))
-		}
+	n := applyPlan(interiorNest(src, ri, rj, rk, body), plan)
+	emit(cache.PerAccess{Mem: mem}, map[string]trace.Binding{"SRC": trace.Bind3D(src), "DST": trace.Bind3D(dst)}, n)
+}
+
+// interiorNest is the K, J, I nest over the points of g at least the
+// given reach away from every face.
+func interiorNest(g *grid.Grid3D, ri, rj, rk int, body []ir.Ref) *ir.Nest {
+	return &ir.Nest{
+		Loops: []ir.Loop{
+			ir.SimpleLoop("K", rk, g.NK-1-rk),
+			ir.SimpleLoop("J", rj, g.NJ-1-rj),
+			ir.SimpleLoop("I", ri, g.NI-1-ri),
+		},
+		Body: body,
 	}
 }

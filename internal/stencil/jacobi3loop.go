@@ -3,6 +3,8 @@ package stencil
 import (
 	"tiling3d/internal/cache"
 	"tiling3d/internal/grid"
+	"tiling3d/internal/ir"
+	"tiling3d/internal/trace"
 )
 
 // Three-loop tiling, the shape existing algorithms such as Wolf-Lam
@@ -32,28 +34,11 @@ func JacobiTiled3Loop(a, b *grid.Grid3D, c float64, ti, tj, tk int) {
 	}
 }
 
-// JacobiTiled3LoopRuns replays the three-loop-tiled address stream in
-// batched form.
-func JacobiTiled3LoopRuns(a, b *grid.Grid3D, sink cache.RunSink, ti, tj, tk int) {
-	var buf [7]cache.Run
-	n1, n2, n3 := a.NI, a.NJ, a.NK
-	for kk := 1; kk <= n3-2; kk += tk {
-		kHi := min(kk+tk-1, n3-2)
-		for jj := 1; jj <= n2-2; jj += tj {
-			jHi := min(jj+tj-1, n2-2)
-			for ii := 1; ii <= n1-2; ii += ti {
-				iHi := min(ii+ti-1, n1-2)
-				for k := kk; k <= kHi; k++ {
-					for j := jj; j <= jHi; j++ {
-						jacobiRowRuns(a, b, sink, buf[:], ii, iHi, j, k)
-					}
-				}
-			}
-		}
-	}
-}
-
-// JacobiTiled3LoopTrace replays the three-loop-tiled address stream.
+// JacobiTiled3LoopTrace replays the three-loop-tiled address stream:
+// the Jacobi nest with K, J and I strip-mined and the tile loops moved
+// outermost.
 func JacobiTiled3LoopTrace(a, b *grid.Grid3D, mem cache.Memory, ti, tj, tk int) {
-	JacobiTiled3LoopRuns(a, b, cache.PerAccess{Mem: mem}, ti, tj, tk)
+	n := tileLoops(ir.JacobiNestDims(a.NI, a.NJ, a.NK), []string{"KK", "JJ", "II", "K", "J", "I"},
+		mine{"K", "KK", tk}, mine{"J", "JJ", tj}, mine{"I", "II", ti})
+	emit(cache.PerAccess{Mem: mem}, map[string]trace.Binding{"A": trace.Bind3D(a), "B": trace.Bind3D(b)}, n)
 }

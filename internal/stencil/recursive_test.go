@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"tiling3d/internal/cache"
+	"tiling3d/internal/core"
 )
 
 func TestJacobiRecursiveMatchesOrig(t *testing.T) {
@@ -25,7 +26,7 @@ func TestJacobiRecursiveMatchesOrig(t *testing.T) {
 func TestJacobiRecursiveTraceCount(t *testing.T) {
 	w := NewWorkload(Jacobi, 20, 8, planFor(20, 5, 5), DefaultCoeffs())
 	var plain, rec cache.NullMemory
-	JacobiOrigTrace(w.Grids[0], w.Grids[1], &plain)
+	Replay(Jacobi, core.Plan{}, w.Grids, cache.PerAccess{Mem: &plain})
 	JacobiRecursiveTrace(w.Grids[0], w.Grids[1], &rec, 6)
 	if plain.LoadCount != rec.LoadCount || plain.StoreCount != rec.StoreCount {
 		t.Errorf("recursive trace counts differ: %d/%d vs %d/%d",

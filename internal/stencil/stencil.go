@@ -11,8 +11,9 @@
 //     wall-clock (MFlops) measurements and for the correctness tests that
 //     prove the transformed variants compute exactly what the original
 //     does;
-//   - a trace walker that replays the variant's load/store address stream
-//     into a cache.Memory, used for the miss-rate simulations.
+//   - a loop nest in internal/ir, tiled by internal/transform, whose
+//     load/store address stream internal/trace replays into the cache
+//     simulator for the miss-rate simulations (trace.go).
 //
 // Loops are zero-based: the Fortran interior 2..N-1 becomes 1..N-2.
 package stencil
@@ -156,5 +157,20 @@ func DefaultCoeffs() Coeffs {
 		SorC1:   1 - omega,
 		SorC2:   omega / 6,
 		ResidA:  [4]float64{-8.0 / 3.0, 0.0, 1.0 / 6.0, 1.0 / 12.0},
+	}
+}
+
+// Accesses returns the number of memory accesses one interior point
+// update issues (loads + the store), matching the kernel's trace nest.
+func (k Kernel) Accesses() int {
+	switch k {
+	case Jacobi:
+		return 7
+	case RedBlack:
+		return 8
+	case Resid:
+		return 29
+	default:
+		panic("stencil: unknown kernel")
 	}
 }

@@ -1,446 +1,188 @@
 package stencil
 
 import (
+	"fmt"
+
 	"tiling3d/internal/cache"
+	"tiling3d/internal/core"
 	"tiling3d/internal/grid"
+	"tiling3d/internal/ir"
+	"tiling3d/internal/trace"
+	"tiling3d/internal/transform"
 )
 
-// Trace walkers replay the load/store byte-address stream of each kernel
-// variant. They mirror the loop structure of the native compute functions
-// exactly (the tests assert the address multiset per iteration matches
-// the references in the source), but touch no array data, so a simulation
-// over an N x N x K problem allocates no N^3 storage — only the simulated
-// cache tags.
-//
-// The walkers emit the stream in batched form: one cache.Run per array
-// reference per row, grouped in lockstep so that expanding the group
-// reproduces the per-access order of the original nest access for
-// access. Each *Runs walker fills a single stack-side run buffer per row
-// and hands it to the sink, so a whole sweep allocates O(1) regardless
-// of problem size. The *Trace variants adapt any per-access cache.Memory
-// through the cache.PerAccess shim.
+// Simulated address streams. Every variant is an ir nest — the paper's
+// original nest, or the tiled nest internal/transform derives from it —
+// compiled against the grids' layouts by internal/trace, whose emitter
+// replays it as lockstep cache.Run groups closed by the phase markers the
+// steady engine uses. Each nest lists a point's references in the native
+// kernel's operand order. Nests are built inside each replay call and
+// never in a constructor: building one costs well under a millisecond,
+// and a workload made only to read its Flops never pays it.
 
-// addrBytes converts an element address to a byte address.
-func addrBytes(g *grid.Grid3D, i, j, k int) int64 {
-	return g.Addr(i, j, k) * grid.ElemSize
-}
-
-// The walkers also emit cache.PlaneMark phase markers so the
-// steady-state engine can detect plane cycles. Each marker names the
-// phase unit just completed: an untiled walker's unit is one k-plane
-// (consecutive planes' streams translate by the plane stride), a tiled
-// walker's unit is one outer tile-row iteration (consecutive iterations
-// translate by tile x row stride; the interior tile loops repeat
-// identically inside each unit). A Delta of 0 tells the engine the
-// units do not translate uniformly (arrays with mismatched padded
-// strides) so it must replay in full. Markers are free for sinks that
-// do not understand them.
-
-// planeDelta3D returns the common plane stride of the arrays in bytes,
-// or 0 when they differ (no uniform translation between planes).
-func planeDelta3D(gs ...*grid.Grid3D) int64 {
-	d := int64(gs[0].DI) * int64(gs[0].DJ) * grid.ElemSize
-	for _, g := range gs[1:] {
-		if int64(g.DI)*int64(g.DJ)*grid.ElemSize != d {
-			return 0
-		}
-	}
-	return d
-}
-
-// rowDelta3D returns the common row stride of the arrays in bytes, or 0
-// when they differ.
-func rowDelta3D(gs ...*grid.Grid3D) int64 {
-	d := int64(gs[0].DI) * grid.ElemSize
-	for _, g := range gs[1:] {
-		if int64(g.DI)*grid.ElemSize != d {
-			return 0
-		}
-	}
-	return d
-}
-
-// JacobiOrigRuns replays the original Jacobi nest (Figure 3) in batched
-// form.
-func JacobiOrigRuns(a, b *grid.Grid3D, sink cache.RunSink) {
-	var buf [7]cache.Run
-	n1, n2, n3 := a.NI, a.NJ, a.NK
-	delta := planeDelta3D(a, b)
-	for k := 1; k <= n3-2; k++ {
-		for j := 1; j <= n2-2; j++ {
-			jacobiRowRuns(a, b, sink, buf[:], 1, n1-2, j, k)
-		}
-		cache.MarkPlane(sink, cache.PlaneMark{Delta: delta, Index: k - 1, Planes: n3 - 2})
-	}
-}
-
-// JacobiTiledRuns replays the tiled Jacobi nest (Figure 6) in batched
-// form.
-func JacobiTiledRuns(a, b *grid.Grid3D, sink cache.RunSink, ti, tj int) {
-	var buf [7]cache.Run
-	n1, n2, n3 := a.NI, a.NJ, a.NK
-	delta := int64(tj) * rowDelta3D(a, b)
-	units := 0
-	if n2 >= 3 {
-		units = (n2-3)/tj + 1
-	}
-	for jj := 1; jj <= n2-2; jj += tj {
-		jHi := min(jj+tj-1, n2-2)
-		for ii := 1; ii <= n1-2; ii += ti {
-			iHi := min(ii+ti-1, n1-2)
-			for k := 1; k <= n3-2; k++ {
-				for j := jj; j <= jHi; j++ {
-					jacobiRowRuns(a, b, sink, buf[:], ii, iHi, j, k)
-				}
-			}
-		}
-		cache.MarkPlane(sink, cache.PlaneMark{Delta: delta, Index: (jj - 1) / tj, Planes: units})
-	}
-}
-
-// jacobiRowRuns emits one row of the Jacobi sweep: per interior point,
-// six loads and the store, in the reference order of the original nest.
-func jacobiRowRuns(a, b *grid.Grid3D, sink cache.RunSink, buf []cache.Run, iLo, iHi, j, k int) {
-	if iHi < iLo {
-		return
-	}
-	const e = grid.ElemSize
-	count := int32(iHi - iLo + 1)
-	o := int64(iLo) * e
-	r0 := b.Addr(0, j, k)*e + o
-	rjm := b.Addr(0, j-1, k)*e + o
-	rjp := b.Addr(0, j+1, k)*e + o
-	rkm := b.Addr(0, j, k-1)*e + o
-	rkp := b.Addr(0, j, k+1)*e + o
-	ra := a.Addr(0, j, k)*e + o
-	buf[0] = cache.Run{Base: r0 - e, Stride: e, Count: count}
-	buf[1] = cache.Run{Base: r0 + e, Stride: e, Count: count, Cont: true}
-	buf[2] = cache.Run{Base: rjm, Stride: e, Count: count, Cont: true}
-	buf[3] = cache.Run{Base: rjp, Stride: e, Count: count, Cont: true}
-	buf[4] = cache.Run{Base: rkm, Stride: e, Count: count, Cont: true}
-	buf[5] = cache.Run{Base: rkp, Stride: e, Count: count, Cont: true}
-	buf[6] = cache.Run{Base: ra, Stride: e, Count: count, Store: true, Cont: true}
-	sink.ReplayRuns(buf[:7])
-}
-
-// JacobiOrigTrace replays the original Jacobi nest (Figure 3).
-func JacobiOrigTrace(a, b *grid.Grid3D, mem cache.Memory) {
-	JacobiOrigRuns(a, b, cache.PerAccess{Mem: mem})
-}
-
-// JacobiTiledTrace replays the tiled Jacobi nest (Figure 6).
-func JacobiTiledTrace(a, b *grid.Grid3D, mem cache.Memory, ti, tj int) {
-	JacobiTiledRuns(a, b, cache.PerAccess{Mem: mem}, ti, tj)
-}
-
-// Jacobi2DOrigRuns replays the 2D Jacobi nest (Figure 1) for the
-// Section 1 motivation experiment, in batched form.
-func Jacobi2DOrigRuns(a, b *grid.Grid2D, sink cache.RunSink) {
-	var buf [5]cache.Run
-	delta := rowDelta2D(a, b)
-	for j := 1; j <= a.NJ-2; j++ {
-		jacobi2DRowRuns(a, b, sink, buf[:], 1, a.NI-2, j)
-		cache.MarkPlane(sink, cache.PlaneMark{Delta: delta, Index: j - 1, Planes: a.NJ - 2})
-	}
-}
-
-// Jacobi2DTiledRuns replays the tiled 2D nest in batched form.
-func Jacobi2DTiledRuns(a, b *grid.Grid2D, sink cache.RunSink, ti int) {
-	var buf [5]cache.Run
-	delta := int64(ti) * grid.ElemSize
-	units := 0
-	if a.NI >= 3 {
-		units = (a.NI-3)/ti + 1
-	}
-	for ii := 1; ii <= a.NI-2; ii += ti {
-		iHi := min(ii+ti-1, a.NI-2)
-		for j := 1; j <= a.NJ-2; j++ {
-			jacobi2DRowRuns(a, b, sink, buf[:], ii, iHi, j)
-		}
-		cache.MarkPlane(sink, cache.PlaneMark{Delta: delta, Index: (ii - 1) / ti, Planes: units})
-	}
-}
-
-// rowDelta2D returns the common row stride of the arrays in bytes, or 0
-// when they differ.
-func rowDelta2D(gs ...*grid.Grid2D) int64 {
-	d := int64(gs[0].DI) * grid.ElemSize
-	for _, g := range gs[1:] {
-		if int64(g.DI)*grid.ElemSize != d {
-			return 0
-		}
-	}
-	return d
-}
-
-func jacobi2DRowRuns(a, b *grid.Grid2D, sink cache.RunSink, buf []cache.Run, iLo, iHi, j int) {
-	if iHi < iLo {
-		return
-	}
-	const e = grid.ElemSize
-	count := int32(iHi - iLo + 1)
-	o := int64(iLo) * e
-	r0 := b.Addr(0, j)*e + o
-	rjm := b.Addr(0, j-1)*e + o
-	rjp := b.Addr(0, j+1)*e + o
-	ra := a.Addr(0, j)*e + o
-	buf[0] = cache.Run{Base: r0 - e, Stride: e, Count: count}
-	buf[1] = cache.Run{Base: r0 + e, Stride: e, Count: count, Cont: true}
-	buf[2] = cache.Run{Base: rjm, Stride: e, Count: count, Cont: true}
-	buf[3] = cache.Run{Base: rjp, Stride: e, Count: count, Cont: true}
-	buf[4] = cache.Run{Base: ra, Stride: e, Count: count, Store: true, Cont: true}
-	sink.ReplayRuns(buf[:5])
-}
-
-// Jacobi2DOrigTrace replays the 2D Jacobi nest (Figure 1).
-func Jacobi2DOrigTrace(a, b *grid.Grid2D, mem cache.Memory) {
-	Jacobi2DOrigRuns(a, b, cache.PerAccess{Mem: mem})
-}
-
-// Jacobi2DTiledTrace replays the tiled 2D nest.
-func Jacobi2DTiledTrace(a, b *grid.Grid2D, mem cache.Memory, ti int) {
-	Jacobi2DTiledRuns(a, b, cache.PerAccess{Mem: mem}, ti)
-}
-
-// RedBlackNaiveRuns replays the naive two-pass red-black nest in batched
-// form.
-func RedBlackNaiveRuns(a *grid.Grid3D, sink cache.RunSink) {
-	var buf [8]cache.Run
-	n1, n2, n3 := a.NI, a.NJ, a.NK
-	delta := planeDelta3D(a)
-	for pass := 0; pass <= 1; pass++ {
-		// Each pass is its own phase: the red and black streams differ,
-		// but within a pass consecutive planes translate (plane parity
-		// makes the pattern period 2, which the cycle detector finds).
-		for k := 1; k <= n3-2; k++ {
-			for j := 1; j <= n2-2; j++ {
-				redBlackRowRuns(a, sink, buf[:], redStart(j, k, pass), n1-2, j, k)
-			}
-			cache.MarkPlane(sink, cache.PlaneMark{Delta: delta, Index: k - 1, Planes: n3 - 2})
-		}
-	}
-}
-
-// RedBlackFusedRuns replays the fused red-black nest in batched form.
-func RedBlackFusedRuns(a *grid.Grid3D, sink cache.RunSink) {
-	var buf [8]cache.Run
-	n1, n2, n3 := a.NI, a.NJ, a.NK
-	delta := planeDelta3D(a)
-	// The first and last kk iterations are clamped (one k instead of
-	// two); the steady engine's verification catches the short last unit
-	// and flushes, so marking them uniformly stays exact.
-	for kk := 0; kk <= n3-2; kk++ {
-		for dk := 1; dk >= 0; dk-- {
-			k := kk + dk
-			if k < 1 || k > n3-2 {
-				continue
-			}
-			for j := 1; j <= n2-2; j++ {
-				iStart := 1
-				if (kk+j)&1 == 0 {
-					iStart = 2
-				}
-				redBlackRowRuns(a, sink, buf[:], iStart, n1-2, j, k)
-			}
-		}
-		cache.MarkPlane(sink, cache.PlaneMark{Delta: delta, Index: kk, Planes: n3 - 1})
-	}
-}
-
-// RedBlackTiledRuns replays the tiled fused red-black nest in batched
-// form.
-func RedBlackTiledRuns(a *grid.Grid3D, sink cache.RunSink, ti, tj int) {
-	var buf [8]cache.Run
-	n1, n2, n3 := a.NI, a.NJ, a.NK
-	delta := int64(tj) * rowDelta3D(a)
-	units := 0
-	if n2 >= 2 {
-		units = (n2-2)/tj + 1
-	}
-	for jj := 0; jj <= n2-2; jj += tj {
-		for ii := 0; ii <= n1-2; ii += ti {
-			for kk := 0; kk <= n3-2; kk++ {
-				for dk := 1; dk >= 0; dk-- {
-					k := kk + dk
-					if k < 1 || k > n3-2 {
-						continue
-					}
-					jLo := max(jj+dk, 1)
-					jHi := min(jj+dk+tj-1, n2-2)
-					for j := jLo; j <= jHi; j++ {
-						iStart := ii + dk
-						iStart += (iStart + kk + j) & 1
-						if iStart == 0 {
-							iStart = 2
-						}
-						iHi := min(ii+dk+ti-1, n1-2)
-						redBlackRowRuns(a, sink, buf[:], iStart, iHi, j, k)
-					}
-				}
-			}
-		}
-		cache.MarkPlane(sink, cache.PlaneMark{Delta: delta, Index: jj / tj, Planes: units})
-	}
-}
-
-// redBlackRowRuns emits one color of one row: every other point, seven
-// loads and the store, in the reference order.
-func redBlackRowRuns(a *grid.Grid3D, sink cache.RunSink, buf []cache.Run, iStart, iHi, j, k int) {
-	if iHi < iStart {
-		return
-	}
-	const e = grid.ElemSize
-	count := int32((iHi-iStart)/2 + 1)
-	o := int64(iStart) * e
-	r0 := a.Addr(0, j, k)*e + o
-	rjm := a.Addr(0, j-1, k)*e + o
-	rjp := a.Addr(0, j+1, k)*e + o
-	rkm := a.Addr(0, j, k-1)*e + o
-	rkp := a.Addr(0, j, k+1)*e + o
-	const s = 2 * e
-	buf[0] = cache.Run{Base: r0, Stride: s, Count: count}
-	buf[1] = cache.Run{Base: r0 - e, Stride: s, Count: count, Cont: true}
-	buf[2] = cache.Run{Base: rjm, Stride: s, Count: count, Cont: true}
-	buf[3] = cache.Run{Base: r0 + e, Stride: s, Count: count, Cont: true}
-	buf[4] = cache.Run{Base: rjp, Stride: s, Count: count, Cont: true}
-	buf[5] = cache.Run{Base: rkm, Stride: s, Count: count, Cont: true}
-	buf[6] = cache.Run{Base: rkp, Stride: s, Count: count, Cont: true}
-	buf[7] = cache.Run{Base: r0, Stride: s, Count: count, Store: true, Cont: true}
-	sink.ReplayRuns(buf[:8])
-}
-
-// RedBlackNaiveTrace replays the naive two-pass red-black nest.
-func RedBlackNaiveTrace(a *grid.Grid3D, mem cache.Memory) {
-	RedBlackNaiveRuns(a, cache.PerAccess{Mem: mem})
-}
-
-// RedBlackFusedTrace replays the fused red-black nest.
-func RedBlackFusedTrace(a *grid.Grid3D, mem cache.Memory) {
-	RedBlackFusedRuns(a, cache.PerAccess{Mem: mem})
-}
-
-// RedBlackTiledTrace replays the tiled fused red-black nest.
-func RedBlackTiledTrace(a *grid.Grid3D, mem cache.Memory, ti, tj int) {
-	RedBlackTiledRuns(a, cache.PerAccess{Mem: mem}, ti, tj)
-}
-
-// ResidOrigRuns replays the original RESID nest (Figure 13) in batched
-// form.
-func ResidOrigRuns(r, v, u *grid.Grid3D, sink cache.RunSink) {
-	var buf [29]cache.Run
-	n1, n2, n3 := r.NI, r.NJ, r.NK
-	delta := planeDelta3D(r, v, u)
-	for i3 := 1; i3 <= n3-2; i3++ {
-		for i2 := 1; i2 <= n2-2; i2++ {
-			residRowRuns(r, v, u, sink, buf[:], 1, n1-2, i2, i3)
-		}
-		cache.MarkPlane(sink, cache.PlaneMark{Delta: delta, Index: i3 - 1, Planes: n3 - 2})
-	}
-}
-
-// ResidTiledRuns replays the tiled RESID nest (Figure 13, right) in
-// batched form.
-func ResidTiledRuns(r, v, u *grid.Grid3D, sink cache.RunSink, t1, t2 int) {
-	var buf [29]cache.Run
-	n1, n2, n3 := r.NI, r.NJ, r.NK
-	delta := int64(t2) * rowDelta3D(r, v, u)
-	units := 0
-	if n2 >= 3 {
-		units = (n2-3)/t2 + 1
-	}
-	for ii2 := 1; ii2 <= n2-2; ii2 += t2 {
-		hi2 := min(ii2+t2-1, n2-2)
-		for ii1 := 1; ii1 <= n1-2; ii1 += t1 {
-			hi1 := min(ii1+t1-1, n1-2)
-			for i3 := 1; i3 <= n3-2; i3++ {
-				for i2 := ii2; i2 <= hi2; i2++ {
-					residRowRuns(r, v, u, sink, buf[:], ii1, hi1, i2, i3)
-				}
-			}
-		}
-		cache.MarkPlane(sink, cache.PlaneMark{Delta: delta, Index: (ii2 - 1) / t2, Planes: units})
-	}
-}
-
-// residRowRuns emits one row of the 27-point RESID stencil: 28 loads and
-// the store, in the reference order (center, faces, edges, corners).
-func residRowRuns(r, v, u *grid.Grid3D, sink cache.RunSink, buf []cache.Run, lo, hi, i2, i3 int) {
-	if hi < lo {
-		return
-	}
-	const e = grid.ElemSize
-	count := int32(hi - lo + 1)
-	o := int64(lo) * e
-	c00 := u.Addr(0, i2, i3)*e + o
-	cm0 := u.Addr(0, i2-1, i3)*e + o
-	cp0 := u.Addr(0, i2+1, i3)*e + o
-	c0m := u.Addr(0, i2, i3-1)*e + o
-	c0p := u.Addr(0, i2, i3+1)*e + o
-	cmm := u.Addr(0, i2-1, i3-1)*e + o
-	cpm := u.Addr(0, i2+1, i3-1)*e + o
-	cmp := u.Addr(0, i2-1, i3+1)*e + o
-	cpp := u.Addr(0, i2+1, i3+1)*e + o
-	rv := v.Addr(0, i2, i3)*e + o
-	rr := r.Addr(0, i2, i3)*e + o
-	run := func(base int64) cache.Run {
-		return cache.Run{Base: base, Stride: e, Count: count, Cont: true}
-	}
-	buf[0] = cache.Run{Base: rv, Stride: e, Count: count}
-	buf[1] = run(c00)
-	// a1 group: faces.
-	buf[2] = run(c00 - e)
-	buf[3] = run(c00 + e)
-	buf[4] = run(cm0)
-	buf[5] = run(cp0)
-	buf[6] = run(c0m)
-	buf[7] = run(c0p)
-	// a2 group: edges.
-	buf[8] = run(cm0 - e)
-	buf[9] = run(cm0 + e)
-	buf[10] = run(cp0 - e)
-	buf[11] = run(cp0 + e)
-	buf[12] = run(cmm)
-	buf[13] = run(cpm)
-	buf[14] = run(cmp)
-	buf[15] = run(cpp)
-	buf[16] = run(c0m - e)
-	buf[17] = run(c0p - e)
-	buf[18] = run(c0m + e)
-	buf[19] = run(c0p + e)
-	// a3 group: corners.
-	buf[20] = run(cmm - e)
-	buf[21] = run(cmm + e)
-	buf[22] = run(cpm - e)
-	buf[23] = run(cpm + e)
-	buf[24] = run(cmp - e)
-	buf[25] = run(cmp + e)
-	buf[26] = run(cpp - e)
-	buf[27] = run(cpp + e)
-	buf[28] = cache.Run{Base: rr, Stride: e, Count: count, Store: true, Cont: true}
-	sink.ReplayRuns(buf[:29])
-}
-
-// ResidOrigTrace replays the original RESID nest (Figure 13).
-func ResidOrigTrace(r, v, u *grid.Grid3D, mem cache.Memory) {
-	ResidOrigRuns(r, v, u, cache.PerAccess{Mem: mem})
-}
-
-// ResidTiledTrace replays the tiled RESID nest (Figure 13, right).
-func ResidTiledTrace(r, v, u *grid.Grid3D, mem cache.Memory, t1, t2 int) {
-	ResidTiledRuns(r, v, u, cache.PerAccess{Mem: mem}, t1, t2)
-}
-
-// Accesses returns the number of memory accesses one interior point
-// update issues (loads + the store), matching the trace walkers.
-func (k Kernel) Accesses() int {
+// Replay emits one sweep of kernel k over grids (in kernel order: JACOBI
+// {A, B}, REDBLACK {A}, RESID {R, V, U}), tiled or not according to
+// plan. The grids share their logical extent. JACOBI and RESID use the
+// body-only forms of ir.JacobiNest and ir.ResidNest (same references,
+// same order): a trace reads no compute semantics, and tiling then
+// copies half as much.
+func Replay(k Kernel, plan core.Plan, grids []*grid.Grid3D, sink cache.RunSink) {
+	g := grids[0]
+	var nests []*ir.Nest
 	switch k {
 	case Jacobi:
-		return 7
+		nests = append(nests, applyPlan(ir.JacobiNestDims(g.NI, g.NJ, g.NK), plan))
 	case RedBlack:
-		return 8
+		if plan.Tiled {
+			nests = append(nests, redBlackTiledNest(g, plan.Tile.TI, plan.Tile.TJ))
+		} else {
+			nests = append(nests, redBlackPassNest(g, 0), redBlackPassNest(g, 1))
+		}
 	case Resid:
-		return 29
+		nests = append(nests, applyPlan(ir.ResidNestDims(g.NI, g.NJ, g.NK, false), plan))
 	default:
 		panic("stencil: unknown kernel")
+	}
+	env := map[string]trace.Binding{}
+	for a, name := range k.arrayNames() {
+		env[name] = trace.Bind3D(grids[a])
+	}
+	emit(sink, env, nests...)
+}
+
+// arrayNames returns the kernel's array names in grid order, as its nest
+// references them.
+func (k Kernel) arrayNames() []string {
+	switch k {
+	case Jacobi:
+		return []string{"A", "B"}
+	case RedBlack:
+		return []string{"A"}
+	default:
+		return []string{"R", "V", "U"}
+	}
+}
+
+// ReplayJacobi2D emits one sweep of the 2D Jacobi nest (Figure 1) over
+// square arrays, with the I loop tiled by ti when ti > 0 (the tile loop
+// moved outermost).
+func ReplayJacobi2D(a, b *grid.Grid2D, ti int, sink cache.RunSink) {
+	n := ir.Jacobi2DNest(a.NI)
+	if ti > 0 {
+		n = tileLoops(n, []string{"II", "J", "I"}, mine{"I", "II", ti})
+	}
+	emit(sink, map[string]trace.Binding{"A": trace.Bind2D(a), "B": trace.Bind2D(b)}, n)
+}
+
+// emit compiles each nest against env and replays it into sink. The
+// nests are built here from grids that exist, so a failure to compile
+// is an internal error.
+func emit(sink cache.RunSink, env map[string]trace.Binding, nests ...*ir.Nest) {
+	for _, n := range nests {
+		if err := trace.RunBatchedNest(n, env, sink); err != nil {
+			panic(fmt.Sprintf("stencil: %v", err))
+		}
+	}
+}
+
+// applyPlan tiles the freshly built nest per plan (Section 2.2); the
+// paper's kernels carry no dependence within a sweep, so refusal is an
+// internal error.
+func applyPlan(n *ir.Nest, plan core.Plan) *ir.Nest {
+	if !plan.Tiled {
+		return n // ApplyPlan's defensive copy buys nothing here
+	}
+	out, err := transform.ApplyPlan(n, plan)
+	if err != nil {
+		panic(fmt.Sprintf("stencil: %v", err))
+	}
+	return out
+}
+
+// mine names one strip-mining step: loop split by factor, its tile loop
+// named tile.
+type mine struct {
+	loop, tile string
+	factor     int
+}
+
+// tileLoops strip-mines the nest and reorders its loops as given,
+// outermost first.
+func tileLoops(n *ir.Nest, order []string, mines ...mine) *ir.Nest {
+	for _, m := range mines {
+		var err error
+		if n, err = transform.StripMine(n, m.loop, m.tile, m.factor); err != nil {
+			panic(fmt.Sprintf("stencil: %v", err))
+		}
+	}
+	out, err := transform.Interchange(n, order)
+	if err != nil {
+		panic(fmt.Sprintf("stencil: %v", err))
+	}
+	return out
+}
+
+// redBlackBody lists one red-black point update's references in the
+// kernel's operand order: the center, its I-, J- neighbors interleaved
+// with the I+, J+ ones, the K neighbors, then the in-place store.
+func redBlackBody(i, j, k ir.Expr) []ir.Ref {
+	return []ir.Ref{
+		ir.Load("A", i, j, k),
+		ir.Load("A", i.Plus(-1), j, k),
+		ir.Load("A", i, j.Plus(-1), k),
+		ir.Load("A", i.Plus(1), j, k),
+		ir.Load("A", i, j.Plus(1), k),
+		ir.Load("A", i, j, k.Plus(-1)),
+		ir.Load("A", i, j, k.Plus(1)),
+		ir.StoreRef("A", i, j, k),
+	}
+}
+
+// redBlackPassNest is one color pass of the naive nest (Figure 12, top):
+// pass 0 updates the red points (zero-based i+j+k odd), pass 1 the
+// black, each row starting at its first point of the color.
+func redBlackPassNest(a *grid.Grid3D, pass int) *ir.Nest {
+	i, j, k := ir.Var("I", 0), ir.Var("J", 0), ir.Var("K", 0)
+	color := ir.Expr{Const: 1 + pass, Coeff: map[string]int{"J": 1, "K": 1}}
+	return &ir.Nest{
+		Loops: []ir.Loop{
+			ir.SimpleLoop("K", 1, a.NK-2),
+			ir.SimpleLoop("J", 1, a.NJ-2),
+			{Name: "I", Lo: ir.BoundOf(ir.Con(1)), Hi: ir.BoundOf(ir.Con(a.NI - 2)), Step: 2, Align: &color},
+		},
+		Body: redBlackBody(i, j, k),
+	}
+}
+
+// redBlackTiledNest is the skewed tiled nest (Figure 12, bottom): for
+// each (JJ, II) tile and plane step KK, the red points of plane KK+1
+// (D = 0) then the black points of plane KK (D = 1), each pass over the
+// tile shifted by one plane's skew, k = KK+1-D. Zero-based, the I parity
+// of both passes is KK+J.
+func redBlackTiledNest(a *grid.Grid3D, ti, tj int) *ir.Nest {
+	skew := func(tile string, extent, n int) (lo, hi ir.Bound) {
+		first := ir.Expr{Const: 1, Coeff: map[string]int{tile: 1, "D": -1}}
+		last := ir.Expr{Const: extent, Coeff: map[string]int{tile: 1, "D": -1}}
+		return ir.BoundOf(first, ir.Con(1)), ir.BoundOf(last, ir.Con(n-2))
+	}
+	jLo, jHi := skew("JJ", tj, a.NJ)
+	iLo, iHi := skew("II", ti, a.NI)
+	color := ir.Expr{Coeff: map[string]int{"KK": 1, "J": 1}}
+	k := ir.Expr{Const: 1, Coeff: map[string]int{"KK": 1, "D": -1}}
+	return &ir.Nest{
+		Loops: []ir.Loop{
+			{Name: "JJ", Lo: ir.BoundOf(ir.Con(0)), Hi: ir.BoundOf(ir.Con(a.NJ - 2)), Step: tj},
+			{Name: "II", Lo: ir.BoundOf(ir.Con(0)), Hi: ir.BoundOf(ir.Con(a.NI - 2)), Step: ti},
+			ir.SimpleLoop("KK", 0, a.NK-2),
+			{
+				Name: "D",
+				Lo:   ir.BoundOf(ir.Con(0), ir.Expr{Const: 3 - a.NK, Coeff: map[string]int{"KK": 1}}),
+				Hi:   ir.BoundOf(ir.Con(1), ir.Var("KK", 0)),
+				Step: 1,
+			},
+			{Name: "J", Lo: jLo, Hi: jHi, Step: 1},
+			{Name: "I", Lo: iLo, Hi: iHi, Step: 2, Align: &color},
+		},
+		Body: redBlackBody(ir.Var("I", 0), ir.Var("J", 0), k),
 	}
 }

@@ -9,8 +9,8 @@ import (
 	"tiling3d/internal/grid"
 )
 
-// TestTraceAccessCounts checks every walker issues exactly the predicted
-// number of loads and stores.
+// TestTraceAccessCounts checks every kernel's stream issues exactly the
+// predicted number of loads and stores.
 func TestTraceAccessCounts(t *testing.T) {
 	for _, k := range Kernels() {
 		for _, m := range []core.Method{core.Orig, core.MethodGcdPad} {
@@ -43,7 +43,7 @@ func sortedOps(ops []cache.Op) []cache.Op {
 
 // TestTiledTraceIsPermutation checks that tiling only reorders the address
 // stream: the multiset of (address, kind) pairs matches the original
-// walker's exactly.
+// nest's exactly.
 func TestTiledTraceIsPermutation(t *testing.T) {
 	for _, k := range Kernels() {
 		spec := k.Spec()
@@ -66,16 +66,17 @@ func TestTiledTraceIsPermutation(t *testing.T) {
 	}
 }
 
-// TestTraceMatchesNativeJacobi cross-checks a walker against the native
-// kernel: replaying the recorded stores and marking them in a shadow grid
-// must mark exactly the interior, and the loads must all fall inside B.
+// TestTraceMatchesNativeJacobi cross-checks the Jacobi stream against the
+// native kernel: replaying the recorded stores and marking them in a
+// shadow grid must mark exactly the interior, and the loads must all fall
+// inside B.
 func TestTraceMatchesNativeJacobi(t *testing.T) {
 	n, k := 12, 6
 	arena := grid.NewArena()
 	a := arena.Place(grid.New3D(n, n, k))
 	b := arena.Place(grid.New3D(n, n, k))
 	var rec cache.Recorder
-	JacobiOrigTrace(a, b, &rec)
+	Replay(Jacobi, core.Plan{}, []*grid.Grid3D{a, b}, cache.PerAccess{Mem: &rec})
 
 	aLo, aHi := a.Base()*grid.ElemSize, (a.Base()+int64(a.Elems()))*grid.ElemSize
 	bLo, bHi := b.Base()*grid.ElemSize, (b.Base()+int64(b.Elems()))*grid.ElemSize
@@ -108,26 +109,40 @@ func TestTraceMatchesNativeJacobi(t *testing.T) {
 	}
 }
 
-// TestRedBlackTraceColors checks the naive walker's two passes touch
-// disjoint point sets that together cover the interior exactly once.
+// TestRedBlackTraceColors checks every red-black stream, naive and tiled
+// with odd and even tile sides, stores each interior point exactly once
+// per sweep and nothing else: the naive nest's two color passes and the
+// tiled nest's skewed passes partition the interior.
 func TestRedBlackTraceColors(t *testing.T) {
 	n, k := 11, 7
-	a := grid.New3D(n, n, k)
-	var rec cache.Recorder
-	RedBlackNaiveTrace(a, &rec)
-	stores := map[int64]int{}
-	for _, op := range rec.Ops {
-		if op.IsStore {
-			stores[op.Addr]++
+	plans := []core.Plan{{DI: n, DJ: n}}
+	for _, tile := range []core.Tile{{TI: 1, TJ: 1}, {TI: 2, TJ: 2}, {TI: 3, TJ: 4}, {TI: 4, TJ: 3}, {TI: 5, TJ: 5}, {TI: 2, TJ: 7}, {TI: 30, TJ: 30}} {
+		plans = append(plans, core.Plan{Tile: tile, DI: n + 1, DJ: n, Tiled: true})
+	}
+	for _, plan := range plans {
+		w := NewTraceWorkload(RedBlack, n, k, plan)
+		var rec cache.Recorder
+		w.RunTrace(&rec)
+		stores := map[int64]int{}
+		for _, op := range rec.Ops {
+			if op.IsStore {
+				stores[op.Addr]++
+			}
 		}
-	}
-	want := (n - 2) * (n - 2) * (k - 2)
-	if len(stores) != want {
-		t.Fatalf("stored %d distinct points, want %d", len(stores), want)
-	}
-	for addr, c := range stores {
-		if c != 1 {
-			t.Fatalf("address %d stored %d times", addr, c)
+		a := w.Grids[0]
+		for kk := 1; kk <= k-2; kk++ {
+			for j := 1; j <= n-2; j++ {
+				for i := 1; i <= n-2; i++ {
+					addr := a.Addr(i, j, kk) * grid.ElemSize
+					if stores[addr] != 1 {
+						t.Fatalf("plan %+v: interior (%d,%d,%d) stored %d times", plan, i, j, kk, stores[addr])
+					}
+					delete(stores, addr)
+				}
+			}
+		}
+		if len(stores) != 0 {
+			t.Fatalf("plan %+v: %d stores outside the interior", plan, len(stores))
 		}
 	}
 }

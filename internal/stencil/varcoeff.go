@@ -4,7 +4,10 @@ import (
 	"fmt"
 
 	"tiling3d/internal/cache"
+	"tiling3d/internal/core"
 	"tiling3d/internal/grid"
+	"tiling3d/internal/ir"
+	"tiling3d/internal/trace"
 )
 
 // Variable-coefficient stencils: PDEs over heterogeneous media weight
@@ -89,31 +92,18 @@ func (s *VarCoeffStencil) applyBlock(dst, src *grid.Grid3D, loI, hiI, loJ, hiJ, 
 // Trace replays the variable-coefficient access stream: per point, each
 // weight load, each source load, then the store.
 func (s *VarCoeffStencil) Trace(dst, src *grid.Grid3D, mem cache.Memory, ti, tj int, tiled bool) {
+	i, j, k := ir.Var("I", 0), ir.Var("J", 0), ir.Var("K", 0)
+	env := map[string]trace.Binding{"SRC": trace.Bind3D(src), "DST": trace.Bind3D(dst)}
+	var body []ir.Ref
+	for t, o := range s.Offsets {
+		w := fmt.Sprintf("W%d", t)
+		env[w] = trace.Bind3D(s.W[t])
+		body = append(body, ir.Load(w, i, j, k), ir.Load("SRC", i.Plus(o[0]), j.Plus(o[1]), k.Plus(o[2])))
+	}
+	body = append(body, ir.StoreRef("DST", i, j, k))
 	ri, rj, rk := s.reach()
-	loI, hiI := ri, src.NI-1-ri
-	loJ, hiJ := rj, src.NJ-1-rj
-	block := func(bLoI, bHiI, bLoJ, bHiJ int) {
-		for k := rk; k <= src.NK-1-rk; k++ {
-			for j := bLoJ; j <= bHiJ; j++ {
-				for i := bLoI; i <= bHiI; i++ {
-					for t, o := range s.Offsets {
-						mem.Load(s.W[t].Addr(i, j, k) * grid.ElemSize)
-						mem.Load(src.Addr(i+o[0], j+o[1], k+o[2]) * grid.ElemSize)
-					}
-					mem.Store(dst.Addr(i, j, k) * grid.ElemSize)
-				}
-			}
-		}
-	}
-	if !tiled {
-		block(loI, hiI, loJ, hiJ)
-		return
-	}
-	for jj := loJ; jj <= hiJ; jj += tj {
-		for ii := loI; ii <= hiI; ii += ti {
-			block(ii, min(ii+ti-1, hiI), jj, min(jj+tj-1, hiJ))
-		}
-	}
+	plan := core.Plan{Tile: core.Tile{TI: ti, TJ: tj}, Tiled: tiled}
+	emit(cache.PerAccess{Mem: mem}, env, applyPlan(interiorNest(src, ri, rj, rk, body), plan))
 }
 
 // ArrayCount returns the number of distinct arrays the stencil streams

@@ -43,8 +43,8 @@ func NewWorkloadPlaced(k Kernel, n, depth int, plan core.Plan, c Coeffs, gaps []
 
 // NewTraceWorkload builds a simulation-only workload: the grids carry
 // layout (shape, padding, arena placement) but no element storage, so a
-// large sweep cell costs no N^3 allocation or initialization. Trace
-// walkers never touch data; calling RunNative on a trace workload
+// large sweep cell costs no N^3 allocation or initialization. Replaying
+// a trace never touches data; calling RunNative on a trace workload
 // panics.
 func NewTraceWorkload(k Kernel, n, depth int, plan core.Plan) *Workload {
 	return NewTraceWorkloadPlaced(k, n, depth, plan, nil)
@@ -125,37 +125,16 @@ func (w *Workload) RunNative() {
 }
 
 // RunTrace replays one kernel sweep's address stream into a per-access
-// memory — the compatibility shim over the batched walkers.
+// memory.
 func (w *Workload) RunTrace(mem cache.Memory) {
 	w.ReplayTrace(cache.PerAccess{Mem: mem})
 }
 
 // ReplayTrace replays one kernel sweep's address stream in batched form,
-// the hot path of every simulation sweep.
+// the hot path of every simulation sweep: the kernel's nest, tiled per
+// the plan, compiled against the workload's grids.
 func (w *Workload) ReplayTrace(sink cache.RunSink) {
-	p := w.Plan
-	switch w.Kernel {
-	case Jacobi:
-		if p.Tiled {
-			JacobiTiledRuns(w.Grids[0], w.Grids[1], sink, p.Tile.TI, p.Tile.TJ)
-		} else {
-			JacobiOrigRuns(w.Grids[0], w.Grids[1], sink)
-		}
-	case RedBlack:
-		if p.Tiled {
-			RedBlackTiledRuns(w.Grids[0], sink, p.Tile.TI, p.Tile.TJ)
-		} else {
-			RedBlackNaiveRuns(w.Grids[0], sink)
-		}
-	case Resid:
-		if p.Tiled {
-			ResidTiledRuns(w.Grids[0], w.Grids[1], w.Grids[2], sink, p.Tile.TI, p.Tile.TJ)
-		} else {
-			ResidOrigRuns(w.Grids[0], w.Grids[1], w.Grids[2], sink)
-		}
-	default:
-		panic("stencil: unknown kernel")
-	}
+	Replay(w.Kernel, w.Plan, w.Grids, sink)
 }
 
 // InteriorPoints returns the number of point updates one sweep performs.

@@ -1,11 +1,11 @@
 package trace_test
 
-// Cross-validation: the generic IR walker over nests produced by the
-// transformation engine must emit exactly the address stream of the
-// hand-written kernel walkers in internal/stencil, access for access.
-// This proves the transformation engine implements the paper's tiling
-// (Figure 6 / Figure 13) and that the hand-written tiled kernels are the
-// faithful output of that transformation.
+// Cross-validation: the per-access reference walker (trace.Run) over
+// nests produced by the transformation engine must emit exactly the
+// address stream the kernels in internal/stencil replay through the
+// batched emitter, access for access. This proves the transformation
+// engine implements the paper's tiling (Figure 6 / Figure 13) and that
+// the strength-reduced batched emitter reproduces the reference order.
 
 import (
 	"testing"
@@ -22,7 +22,7 @@ import (
 func opsEqual(t *testing.T, label string, want, got []cache.Op) {
 	t.Helper()
 	if len(want) != len(got) {
-		t.Fatalf("%s: %d ops from kernel walker, %d from IR walker", label, len(want), len(got))
+		t.Fatalf("%s: %d ops from the kernel, %d from the IR walker", label, len(want), len(got))
 	}
 	for i := range want {
 		if want[i] != got[i] {
@@ -37,7 +37,7 @@ func TestIRMatchesJacobiOrig(t *testing.T) {
 	a := arena.Place(grid.New3D(n, n, depth))
 	b := arena.Place(grid.New3D(n, n, depth))
 	var ref cache.Recorder
-	stencil.JacobiOrigTrace(a, b, &ref)
+	stencil.Replay(stencil.Jacobi, core.Plan{}, []*grid.Grid3D{a, b}, cache.PerAccess{Mem: &ref})
 
 	nest := ir.JacobiNest(n, depth)
 	var got cache.Recorder
@@ -56,7 +56,7 @@ func TestIRMatchesJacobiTiled(t *testing.T) {
 		a := arena.Place(grid.Must3DPadded(n, n, depth, n+3, n+1))
 		b := arena.Place(grid.Must3DPadded(n, n, depth, n+3, n+1))
 		ref.Reset()
-		stencil.JacobiTiledTrace(a, b, &ref, tile.TI, tile.TJ)
+		stencil.Replay(stencil.Jacobi, core.Plan{Tile: tile, Tiled: true}, []*grid.Grid3D{a, b}, cache.PerAccess{Mem: &ref})
 
 		nest, err := transform.TileInner2(ir.JacobiNest(n, depth), tile)
 		if err != nil {
@@ -71,10 +71,10 @@ func TestIRMatchesJacobiTiled(t *testing.T) {
 	}
 }
 
-// TestIRBatchedMatchesKernelBatched drives the batched IR walker and the
-// batched kernel walkers over the same programs and requires the expanded
-// streams to agree op for op — the batched analogue of the per-access
-// crosschecks above. Recorders are reused across cases via Reset.
+// TestIRBatchedMatchesKernelBatched drives the batched IR walker over the
+// transformation engine's nest and the kernel's own batched stream and
+// requires the expanded streams to agree op for op. Recorders are reused
+// across cases via Reset.
 func TestIRBatchedMatchesKernelBatched(t *testing.T) {
 	n, depth := 17, 8
 	var ref, got cache.Recorder
@@ -84,7 +84,7 @@ func TestIRBatchedMatchesKernelBatched(t *testing.T) {
 		a := arena.Place(grid.Must3DPadded(n, n, depth, n+3, n+1))
 		b := arena.Place(grid.Must3DPadded(n, n, depth, n+3, n+1))
 		ref.Reset()
-		stencil.JacobiTiledRuns(a, b, &ref, tile.TI, tile.TJ)
+		stencil.Replay(stencil.Jacobi, core.Plan{Tile: tile, Tiled: true}, []*grid.Grid3D{a, b}, &ref)
 
 		nest, err := transform.TileInner2(ir.JacobiNest(n, depth), tile)
 		if err != nil {
@@ -111,7 +111,7 @@ func TestIRBatchedMatchesResid(t *testing.T) {
 	v := arena.Place(grid.Must3DPadded(n, n, depth, n+7, n))
 	u := arena.Place(grid.Must3DPadded(n, n, depth, n+7, n))
 	var ref cache.Recorder
-	stencil.ResidTiledRuns(r, v, u, &ref, tile.TI, tile.TJ)
+	stencil.Replay(stencil.Resid, core.Plan{Tile: tile, Tiled: true}, []*grid.Grid3D{r, v, u}, &ref)
 
 	nest, err := transform.ApplyPlan(ir.ResidNest(n, depth), core.Plan{Tile: tile, Tiled: true})
 	if err != nil {
@@ -133,7 +133,7 @@ func TestIRMatchesResidTiled(t *testing.T) {
 	v := arena.Place(grid.Must3DPadded(n, n, depth, n+7, n))
 	u := arena.Place(grid.Must3DPadded(n, n, depth, n+7, n))
 	var ref cache.Recorder
-	stencil.ResidTiledTrace(r, v, u, &ref, tile.TI, tile.TJ)
+	stencil.Replay(stencil.Resid, core.Plan{Tile: tile, Tiled: true}, []*grid.Grid3D{r, v, u}, cache.PerAccess{Mem: &ref})
 
 	nest, err := transform.ApplyPlan(ir.ResidNest(n, depth), core.Plan{Tile: tile, Tiled: true})
 	if err != nil {
@@ -153,7 +153,7 @@ func TestIRMatchesJacobi2D(t *testing.T) {
 	a := arena.Place2D(grid.New2D(n, n))
 	b := arena.Place2D(grid.New2D(n, n))
 	var ref cache.Recorder
-	stencil.Jacobi2DOrigTrace(a, b, &ref)
+	stencil.ReplayJacobi2D(a, b, 0, cache.PerAccess{Mem: &ref})
 	var got cache.Recorder
 	env := map[string]trace.Binding{"A": trace.Bind2D(a), "B": trace.Bind2D(b)}
 	if err := trace.Run(ir.Jacobi2DNest(n), env, &got); err != nil {

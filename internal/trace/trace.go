@@ -1,26 +1,22 @@
 // Package trace executes a loop nest from internal/ir as a load/store
-// address stream into a cache.Memory — the generic counterpart of the
-// hand-specialized walkers in internal/stencil. The stencil walkers are
-// fast and mirror the paper's figures line by line; this engine runs any
-// nest the transformation package produces, and the tests drive both over
-// the same programs to prove the transformation engine and the
-// hand-written kernels agree access for access.
+// address stream — the single source of every simulated stream in the
+// repository. The kernels (internal/stencil), the multigrid operators
+// (internal/mg) and the user-defined stencils describe each variant as an
+// ir nest, usually the output of internal/transform, and Compile lowers it
+// against the arrays' layouts into a Program. RunBatched emits the
+// program as lockstep cache.Run groups with cache.PlaneMark phase markers
+// derived from the nest; Run emits the same stream one access at a time
+// and is the reference the batched emitter is tested against.
 package trace
 
 import (
 	"fmt"
+	"slices"
 
 	"tiling3d/internal/cache"
 	"tiling3d/internal/grid"
 	"tiling3d/internal/ir"
 )
-
-// PlaneMark re-exports the cache package's plane-phase marker so IR
-// walker callers can speak of trace.PlaneMark; emitting markers from
-// compiled nests (detecting which loop level is the plane loop) is an
-// open item — for now only the hand-written stencil walkers mark their
-// phases.
-type PlaneMark = cache.PlaneMark
 
 // Binding maps an array name to its storage layout: the base element
 // address and the element stride of each array dimension.
@@ -49,20 +45,38 @@ type compiledExpr struct {
 	sparse []int   // slots with nonzero coefficients
 }
 
-func compileExpr(e ir.Expr, slot map[string]int, scale int64) (compiledExpr, error) {
-	c := compiledExpr{con: int64(e.Const) * scale, coeff: make([]int64, len(slot))}
+func compileExpr(e ir.Expr, slot map[string]int) (compiledExpr, error) {
+	c := compiledExpr{coeff: make([]int64, len(slot))}
+	if err := c.add(e, slot, 1); err != nil {
+		return compiledExpr{}, err
+	}
+	c.index()
+	return c, nil
+}
+
+// add accumulates scale * e into c.
+func (c *compiledExpr) add(e ir.Expr, slot map[string]int, scale int64) error {
+	c.con += int64(e.Const) * scale
 	for name, k := range e.Coeff {
 		if k == 0 {
 			continue
 		}
 		s, ok := slot[name]
 		if !ok {
-			return compiledExpr{}, fmt.Errorf("trace: expression uses unknown variable %q", name)
+			return fmt.Errorf("trace: expression uses unknown variable %q", name)
 		}
-		c.coeff[s] = int64(k) * scale
-		c.sparse = append(c.sparse, s)
+		c.coeff[s] += int64(k) * scale
 	}
-	return c, nil
+	return nil
+}
+
+// index lists the slots with nonzero coefficients.
+func (c *compiledExpr) index() {
+	for s, k := range c.coeff {
+		if k != 0 {
+			c.sparse = append(c.sparse, s)
+		}
+	}
 }
 
 func (c compiledExpr) eval(vars []int64) int64 {
@@ -80,14 +94,54 @@ type compiledRef struct {
 
 type compiledLoop struct {
 	lo, hi []compiledExpr
+	align  *compiledExpr
 	step   int64
 }
 
+// bounds returns the loop's first value and its upper bound.
+func (l *compiledLoop) bounds(vars []int64) (lo, hi int64) {
+	lo, hi = boundsUnaligned(l, vars)
+	if l.align != nil {
+		lo = l.alignUp(lo, l.align.eval(vars))
+	}
+	return lo, hi
+}
+
+// alignUp returns the least v >= lo with v = a (mod step).
+func (l *compiledLoop) alignUp(lo, a int64) int64 {
+	d := (a - lo) % l.step
+	if d < 0 {
+		d += l.step
+	}
+	return lo + d
+}
+
+// trips returns the number of iterations from lo to hi.
+func (l *compiledLoop) trips(lo, hi int64) int64 {
+	if hi < lo {
+		return 0
+	}
+	return (hi-lo)/l.step + 1
+}
+
 // Program is a nest lowered to flat affine address expressions, ready to
-// run repeatedly.
+// run repeatedly (and concurrently: running never mutates it).
 type Program struct {
 	loops []compiledLoop
 	refs  []compiledRef
+	// delta is the Delta of the phase markers: the byte shift every
+	// reference makes when the outermost loop steps once, 0 when the
+	// references disagree.
+	delta int64
+	// groups holds one entry per distinct address coefficient vector;
+	// group[r] and off[r] place reference r as its group's address plus
+	// a constant.
+	groups []compiledExpr
+	group  []int
+	off    []int64
+	// rowInvariant reports that the innermost loop's bounds do not depend
+	// on the loop around it (Align aside).
+	rowInvariant bool
 }
 
 // Compile lowers the nest against the array bindings. Every subscript of
@@ -105,14 +159,14 @@ func Compile(n *ir.Nest, env map[string]Binding) (*Program, error) {
 			return nil, fmt.Errorf("trace: loop %q has non-positive step %d", l.Name, l.Step)
 		}
 		for _, e := range l.Lo.Exprs {
-			ce, err := compileExpr(e, slot, 1)
+			ce, err := compileExpr(e, slot)
 			if err != nil {
 				return nil, err
 			}
 			cl.lo = append(cl.lo, ce)
 		}
 		for _, e := range l.Hi.Exprs {
-			ce, err := compileExpr(e, slot, 1)
+			ce, err := compileExpr(e, slot)
 			if err != nil {
 				return nil, err
 			}
@@ -120,6 +174,13 @@ func Compile(n *ir.Nest, env map[string]Binding) (*Program, error) {
 		}
 		if len(cl.lo) == 0 || len(cl.hi) == 0 {
 			return nil, fmt.Errorf("trace: loop %q missing bounds", l.Name)
+		}
+		if l.Align != nil {
+			ce, err := compileExpr(*l.Align, slot)
+			if err != nil {
+				return nil, err
+			}
+			cl.align = &ce
 		}
 		p.loops = append(p.loops, cl)
 	}
@@ -135,23 +196,72 @@ func Compile(n *ir.Nest, env map[string]Binding) (*Program, error) {
 		// addr = (base + sum(stride_d * sub_d)) * ElemSize
 		acc := compiledExpr{con: b.Base * grid.ElemSize, coeff: make([]int64, len(slot))}
 		for d, sub := range r.Subs {
-			ce, err := compileExpr(sub, slot, b.Strides[d]*grid.ElemSize)
-			if err != nil {
+			if err := acc.add(sub, slot, b.Strides[d]*grid.ElemSize); err != nil {
 				return nil, err
 			}
-			acc.con += ce.con
-			for s, k := range ce.coeff {
-				acc.coeff[s] += k
-			}
 		}
-		for s, k := range acc.coeff {
-			if k != 0 {
-				acc.sparse = append(acc.sparse, s)
-			}
-		}
+		acc.index()
 		p.refs = append(p.refs, compiledRef{store: r.Store, addr: acc})
 	}
+	p.delta = p.planeDelta()
+	p.groupRefs()
+	p.rowInvariant = true
+	if d := len(p.loops) - 2; d >= 0 {
+		in := &p.loops[d+1]
+		for _, x := range append(append([]compiledExpr{}, in.lo...), in.hi...) {
+			p.rowInvariant = p.rowInvariant && x.coeff[d] == 0
+		}
+	}
 	return p, nil
+}
+
+// planeDelta follows one step of the outermost loop through each inner
+// loop's first lower bound (the tile variable, where strip-mining puts
+// it) and returns the resulting byte shift of the references, or 0 when
+// they do not all shift alike.
+func (p *Program) planeDelta() int64 {
+	if len(p.loops) == 0 || len(p.refs) == 0 {
+		return 0
+	}
+	shift := make([]int64, len(p.loops))
+	shift[0] = p.loops[0].step
+	for d := 1; d < len(p.loops); d++ {
+		e := p.loops[d].lo[0]
+		for _, s := range e.sparse {
+			shift[d] += e.coeff[s] * shift[s]
+		}
+	}
+	var delta int64
+	for i, r := range p.refs {
+		var v int64
+		for _, s := range r.addr.sparse {
+			v += r.addr.coeff[s] * shift[s]
+		}
+		if i > 0 && v != delta {
+			return 0
+		}
+		delta = v
+	}
+	return delta
+}
+
+// groupRefs partitions the references by address coefficient vector, so
+// the emitter advances one base per group instead of re-evaluating every
+// reference.
+func (p *Program) groupRefs() {
+	p.group = make([]int, len(p.refs))
+	p.off = make([]int64, len(p.refs))
+	for r, ref := range p.refs {
+		g := 0
+		for g < len(p.groups) && !slices.Equal(p.groups[g].coeff, ref.addr.coeff) {
+			g++
+		}
+		if g == len(p.groups) {
+			p.groups = append(p.groups, ref.addr)
+		}
+		p.group[r] = g
+		p.off[r] = ref.addr.con - p.groups[g].con
+	}
 }
 
 // Run executes the program once, emitting every reference to mem.
@@ -174,18 +284,7 @@ func (p *Program) run(depth int, vars []int64, mem cache.Memory) {
 		return
 	}
 	l := &p.loops[depth]
-	lo := l.lo[0].eval(vars)
-	for _, e := range l.lo[1:] {
-		if v := e.eval(vars); v > lo {
-			lo = v
-		}
-	}
-	hi := l.hi[0].eval(vars)
-	for _, e := range l.hi[1:] {
-		if v := e.eval(vars); v < hi {
-			hi = v
-		}
-	}
+	lo, hi := l.bounds(vars)
 	for v := lo; v <= hi; v += l.step {
 		vars[depth] = v
 		p.run(depth+1, vars, mem)
@@ -194,79 +293,180 @@ func (p *Program) run(depth int, vars []int64, mem cache.Memory) {
 
 // RunBatched executes the program once, emitting the address stream in
 // batched form: every execution of the innermost loop becomes one
-// lockstep group with a strided Run per reference. Expanding the emitted
-// stream reproduces Run's per-access order exactly; the group buffer is
-// reused across emissions, so a whole nest execution allocates O(refs).
+// lockstep group with a strided Run per reference, so expanding the
+// emitted stream reproduces Run's per-access order exactly. After each
+// iteration of the outermost loop of a nest at least two loops deep it
+// emits a cache.PlaneMark naming the iteration (Index), the loop's trip
+// count (Planes) and the program's byte shift per iteration (Delta) to
+// sinks that understand markers. A whole execution allocates O(refs).
 func (p *Program) RunBatched(sink cache.RunSink) {
-	vars := make([]int64, len(p.loops))
+	if len(p.refs) == 0 {
+		return
+	}
 	buf := make([]cache.Run, len(p.refs))
 	if len(p.loops) == 0 {
-		if len(p.refs) == 0 {
-			return
-		}
-		for i := range p.refs {
-			r := &p.refs[i]
-			buf[i] = cache.Run{Base: r.addr.eval(vars), Count: 1, Store: r.store, Cont: i > 0}
+		for r := range p.refs {
+			buf[r] = cache.Run{Base: p.refs[r].addr.con, Count: 1, Store: p.refs[r].store, Cont: r > 0}
 		}
 		sink.ReplayRuns(buf)
 		return
 	}
-	p.runBatched(0, vars, buf, sink)
-}
-
-func (p *Program) runBatched(depth int, vars []int64, buf []cache.Run, sink cache.RunSink) {
-	l := &p.loops[depth]
-	lo := l.lo[0].eval(vars)
-	for _, e := range l.lo[1:] {
-		if v := e.eval(vars); v > lo {
-			lo = v
+	in := len(p.loops) - 1
+	for r := range p.refs {
+		buf[r] = cache.Run{Stride: p.refs[r].addr.coeff[in] * p.loops[in].step, Store: p.refs[r].store, Cont: r > 0}
+	}
+	ng := len(p.groups)
+	e := &emitter{p: p, sink: sink, vars: make([]int64, len(p.loops)), buf: buf, off: p.off}
+	e.marks, _ = sink.(cache.PlaneSink)
+	flat := make([]int64, 3*ng)
+	e.row, e.rowStride, e.inner = flat[:ng], flat[ng:2*ng], flat[2*ng:]
+	for g := range p.groups {
+		e.inner[g] = p.groups[g].coeff[in]
+		if in > 0 {
+			e.rowStride[g] = p.groups[g].coeff[in-1] * p.loops[in-1].step
 		}
 	}
-	hi := l.hi[0].eval(vars)
-	for _, e := range l.hi[1:] {
-		if v := e.eval(vars); v < hi {
-			hi = v
+	if in == 0 {
+		for g := range p.groups {
+			e.row[g] = p.groups[g].con
 		}
-	}
-	if depth == len(p.loops)-1 {
-		if hi < lo {
-			return
-		}
-		count := (hi-lo)/l.step + 1
-		vars[depth] = lo
-		p.emitGroup(vars, buf, depth, count, l.step, sink)
+		lo, hi := p.loops[0].bounds(e.vars)
+		e.emitRow(p.loops[0].trips(lo, hi), lo)
 		return
 	}
-	for v := lo; v <= hi; v += l.step {
-		vars[depth] = v
-		p.runBatched(depth+1, vars, buf, sink)
+	e.loop(0)
+}
+
+// emitter holds one RunBatched execution's state.
+type emitter struct {
+	p     *Program
+	sink  cache.RunSink
+	marks cache.PlaneSink
+	vars  []int64
+	buf   []cache.Run
+	off   []int64
+	// row holds each group's address at the current row with the
+	// innermost variable at zero; rowStride is what one step of the row
+	// loop adds to it, inner each group's innermost coefficient.
+	row, rowStride, inner []int64
+	// count is the Count every run in buf carries.
+	count int32
+}
+
+// loop runs the loop at depth d, above the row loop.
+func (e *emitter) loop(d int) {
+	l := &e.p.loops[d]
+	lo, hi := l.bounds(e.vars)
+	if d == len(e.p.loops)-2 {
+		e.rows(lo, hi)
+		return
+	}
+	for v, i := lo, 0; v <= hi; v, i = v+l.step, i+1 {
+		e.vars[d] = v
+		e.loop(d + 1)
+		if d == 0 {
+			e.mark(i, l.trips(lo, hi))
+		}
 	}
 }
 
-// emitGroup emits one lockstep group: count lockstep indices of every
-// reference, with vars holding the innermost variable's first value.
-// Counts beyond the Run field's range are emitted in chunks.
-func (p *Program) emitGroup(vars []int64, buf []cache.Run, innermost int, count, step int64, sink cache.RunSink) {
+// mark emits the phase marker closing outermost iteration i of n.
+func (e *emitter) mark(i int, n int64) {
+	if e.marks != nil {
+		e.marks.PlaneMark(cache.PlaneMark{Delta: e.p.delta, Index: i, Planes: int(n)})
+	}
+}
+
+// rows runs the row loop (the loop around the innermost) at depth d,
+// emitting one lockstep group per row. Group bases and the innermost
+// alignment advance by their row coefficients instead of being
+// re-evaluated, and innermost bounds that do not depend on the row
+// variable are evaluated once per row loop.
+func (e *emitter) rows(lo, hi int64) {
+	p := e.p
+	d := len(p.loops) - 2
+	l, in := &p.loops[d], &p.loops[d+1]
+	e.vars[d] = lo
+	for g := range e.row {
+		e.row[g] = p.groups[g].eval(e.vars)
+	}
+	var first, last, align int64
+	if p.rowInvariant {
+		first, last = boundsUnaligned(in, e.vars)
+		if d > 0 && in.trips(first, last) == 0 {
+			return
+		}
+	}
+	if in.align != nil {
+		align = in.align.eval(e.vars)
+	}
+	trips := l.trips(lo, hi)
+	for v, i := lo, 0; v <= hi; v, i = v+l.step, i+1 {
+		if !p.rowInvariant {
+			e.vars[d] = v
+			first, last = boundsUnaligned(in, e.vars)
+		}
+		start := first
+		if in.align != nil {
+			start = in.alignUp(first, align)
+			align += in.align.coeff[d] * l.step
+		}
+		e.emitRow(in.trips(start, last), start)
+		for g := range e.row {
+			e.row[g] += e.rowStride[g]
+		}
+		if d == 0 {
+			e.mark(i, trips)
+		}
+	}
+}
+
+// boundsUnaligned returns the loop's bounds ignoring Align.
+func boundsUnaligned(l *compiledLoop, vars []int64) (lo, hi int64) {
+	lo = l.lo[0].eval(vars)
+	for _, x := range l.lo[1:] {
+		lo = max(lo, x.eval(vars))
+	}
+	hi = l.hi[0].eval(vars)
+	for _, x := range l.hi[1:] {
+		hi = min(hi, x.eval(vars))
+	}
+	return lo, hi
+}
+
+// emitRow emits the lockstep group of one row: count accesses per
+// reference with the innermost variable starting at first. Only the
+// bases change from row to row (and the count where the bounds do).
+func (e *emitter) emitRow(count, first int64) {
 	const maxChunk = 1<<31 - 1
-	for count > 0 {
-		chunk := count
-		if chunk > maxChunk {
-			chunk = maxChunk
-		}
-		for i := range p.refs {
-			r := &p.refs[i]
-			buf[i] = cache.Run{
-				Base:   r.addr.eval(vars),
-				Stride: r.addr.coeff[innermost] * step,
-				Count:  int32(chunk),
-				Store:  r.store,
-				Cont:   i > 0,
-			}
-		}
-		sink.ReplayRuns(buf)
-		count -= chunk
-		vars[innermost] += chunk * step
+	if count <= 0 {
+		return
 	}
+	if count > maxChunk {
+		e.emitRow(maxChunk, first)
+		e.emitRow(count-maxChunk, first+maxChunk*e.p.loops[len(e.p.loops)-1].step)
+		return
+	}
+	buf, off := e.buf, e.off[:len(e.buf)]
+	if c := int32(count); c != e.count {
+		for r := range buf {
+			buf[r].Count = c
+		}
+		e.count = c
+	}
+	if len(e.row) == 1 {
+		b := e.row[0] + e.inner[0]*first
+		for r := range buf {
+			buf[r].Base = b + off[r]
+		}
+	} else {
+		grp := e.p.group[:len(buf)]
+		for r := range buf {
+			g := grp[r]
+			buf[r].Base = e.row[g] + e.inner[g]*first + off[r]
+		}
+	}
+	e.sink.ReplayRuns(buf)
 }
 
 // Run compiles and executes a nest in one step.
