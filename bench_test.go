@@ -328,6 +328,10 @@ func BenchmarkCacheSimThroughput(b *testing.B) {
 // Orig is the conflict-heavy untiled stream; GcdPad is the padded+tiled
 // stream; GcdPadNT (padding without tiling) has full-row runs, where the
 // per-run setup amortizes over ~64 lines and batching pays off most.
+// ResidOrig128 is the advisor's conflict-bound case: untiled RESID at
+// N=128, K=16, whose rows and planes collide in the L1, on the
+// advisor's three L1 geometries over the paper's L2; every one of its
+// accesses replays through the exact interleaved loop.
 // Metrics are simulated Maccess/s and ns/access.
 func BenchmarkReplayRuns(b *testing.B) {
 	n, k := 256, 30
@@ -352,6 +356,25 @@ func BenchmarkReplayRuns(b *testing.B) {
 				w.ReplayTrace(h)
 			}
 			reportAccessRate(b, accesses)
+		})
+	}
+	rw := stencil.NewTraceWorkload(stencil.Resid, 128, 16, core.Select(core.Orig, 2048, 128, 128, stencil.Resid.Spec()))
+	for _, l1 := range []struct {
+		name string
+		cfg  cache.Config
+	}{
+		{"dm16k", cache.UltraSparc2L1()},
+		{"assoc2", cache.Config{SizeBytes: 16 << 10, LineBytes: 32, Assoc: 2}},
+		{"dm32k", cache.Config{SizeBytes: 32 << 10, LineBytes: 64, Assoc: 1}},
+	} {
+		b.Run("ResidOrig128/"+l1.name, func(b *testing.B) {
+			h := cache.MustHierarchy(l1.cfg, cache.UltraSparc2L2())
+			rw.ReplayTrace(h) // warm
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rw.ReplayTrace(h)
+			}
+			reportAccessRate(b, float64(rw.AccessCount()))
 		})
 	}
 }

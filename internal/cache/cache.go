@@ -156,6 +156,7 @@ func (s *Stats) Add(other Stats) {
 	s.LoadMisses += other.LoadMisses
 	s.StoreMisses += other.StoreMisses
 	s.Writebacks += other.Writebacks
+	s.Prefetches += other.Prefetches
 }
 
 // TrafficBytes estimates the memory traffic below a write-back cache

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -180,6 +181,24 @@ func TestStatsAccounting(t *testing.T) {
 	}
 	if !c.Load(0) {
 		t.Error("ResetStats emptied the cache")
+	}
+}
+
+// TestStatsAddEveryField sums two Stats with every field non-zero, so a
+// counter Stats.Add forgets (as it once forgot Prefetches) fails here,
+// including one added after this test was written.
+func TestStatsAddEveryField(t *testing.T) {
+	var a, b Stats
+	va, vb := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	for i := 0; i < va.NumField(); i++ {
+		va.Field(i).SetUint(uint64(i + 1))
+		vb.Field(i).SetUint(uint64(100 * (i + 1)))
+	}
+	a.Add(b)
+	for i := 0; i < va.NumField(); i++ {
+		if got, want := va.Field(i).Uint(), uint64(101*(i+1)); got != want {
+			t.Errorf("Stats.Add: %s = %d, want %d", va.Type().Field(i).Name, got, want)
+		}
 	}
 }
 

@@ -173,7 +173,7 @@ func (s *Steady) ReplayDeltaSweep() bool {
 		d.diag.PinCompares++
 		if encEq(s.encScratch, d.repEnc) {
 			for li, c := range s.levels {
-				c.stats = addStats(c.stats, d.repTot[li])
+				c.stats.Add(d.repTot[li])
 				copy(c.tags, d.repTags[li])
 				copy(c.dirty, d.repDirty[li])
 				if c.stamp != nil {
@@ -302,7 +302,7 @@ func (s *Steady) deltaCommitFrom(r *steadyPhase, from int) {
 	for u := from + 1; u < r.planes; u++ {
 		for li, dd := range r.deltas[u] {
 			c := s.levels[li]
-			c.stats = addStats(c.stats, dd)
+			c.stats.Add(dd)
 		}
 	}
 	for li, c := range s.levels {

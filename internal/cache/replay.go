@@ -42,13 +42,14 @@ import "math/bits"
 //     arithmetically (see replayClustered).
 //   - Any other component falls back to an exact per-access interleaved
 //     loop on the concrete caches — still devirtualized, still fed from
-//     runs, but paying one probe per access. Conflicting streams (the
-//     paper's pathological sizes) land here, which is what keeps their
-//     ping-ponging miss counts bit-identical.
+//     runs, but paying one probe per access (replayInterleaved).
+//     Conflicting streams (the paper's pathological sizes) land here,
+//     which is what keeps their ping-ponging miss counts bit-identical.
 //
 // Next-line prefetching installs lines outside a run's own footprint,
 // which breaks the disjointness argument; a hierarchy with prefetching
-// anywhere replays every group with the exact interleaved loop.
+// anywhere replays every group with the plain per-access walk
+// (replayExactGroup).
 
 // maxGroup bounds the stack-allocated scratch space; larger groups (which
 // no walker emits) take a heap-allocated slow path.
@@ -159,12 +160,17 @@ func replayRuns(levels []*Cache, runs []Run, memo *replayMemo) {
 		memo.envOK = true
 	}
 	env, prefetch := &memo.env, memo.prefetch
+	var allBuf [maxGroup]int32
+	all := allBuf[:0] // identity member list for the prefetching walk
 	for start := 0; start < len(runs); {
 		end := groupEnd(runs, start)
 		g := runs[start:end]
 		if n := int64(g[0].Count); n > 0 {
 			if prefetch {
-				replayExactGroup(levels, g, n)
+				for len(all) < len(g) {
+					all = append(all, int32(len(all)))
+				}
+				replayExactGroup(levels, g, all[:len(g)], n)
 			} else {
 				replayGroup(levels, g, n, memo, env)
 			}
@@ -215,13 +221,16 @@ func replayGroup(levels []*Cache, g []Run, n int64, memo *replayMemo, env *repla
 	}
 }
 
-// replayExactGroup replays a whole group per access in lockstep order —
-// the fallback when prefetching invalidates every batching argument.
-func replayExactGroup(levels []*Cache, g []Run, n int64) {
+// replayExactGroup replays the members of a group per access in
+// lockstep order through loadThrough/storeThrough: the walk for a whole
+// group when prefetching invalidates every batching argument, and for a
+// conflicting component whose L1 replayInterleaved cannot inline.
+func replayExactGroup(levels []*Cache, g []Run, members []int32, n int64) {
 	for i := int64(0); i < n; i++ {
-		for r := range g {
-			addr := g[r].Base + i*g[r].Stride
-			if g[r].Store {
+		for _, mi := range members {
+			r := &g[mi]
+			addr := r.Base + i*r.Stride
+			if r.Store {
 				storeThrough(levels, addr)
 			} else {
 				loadThrough(levels, addr)
@@ -1170,35 +1179,145 @@ func clusterTail(levels []*Cache, addr int64, rem uint64, store bool) {
 }
 
 // replayInterleaved replays one component per access in lockstep order
-// on the concrete caches — exact for arbitrary conflicts. The common
-// direct-mapped L1 hit is inlined; everything else takes the normal
-// Load/Store path.
+// on the concrete caches — exact for arbitrary conflicts. When the L1 is
+// a power-of-two direct-mapped or 2-way LRU cache without prefetching
+// (every L1 of the paper's experiments), the whole access is
+// inlined: the L1 probe, LRU refresh, victim choice and install, and,
+// over a single power-of-two direct-mapped next level (the paper's L2),
+// that level's probe, install and writeback too; any other level below
+// takes loadThrough/storeThrough on a miss. Each access makes the state
+// transition Cache.Load/Store would make, in lockstep order and with the
+// same LRU clock values, so statistics and final state are identical.
+// Any other L1 takes the plain per-access walk, including a
+// direct-mapped one whose set count is not a power of two, which the
+// advisor accepts: choosing the set index per access would slow the
+// power-of-two L1s.
 func replayInterleaved(levels []*Cache, g []Run, members []int32, n int64) {
 	l1 := levels[0]
-	fastL1 := l1.assoc == 1
+	k := len(members)
+	if !l1.pow2 || l1.assoc > 2 || l1.cfg.NextLinePrefetch || k > maxGroup {
+		replayExactGroup(levels, g, members, n)
+		return
+	}
+	var addr, stride [maxGroup]int64
+	var store [maxGroup]bool
+	var nStores uint64
+	for j, mi := range members {
+		r := &g[mi]
+		addr[j], stride[j], store[j] = r.Base, r.Stride, r.Store
+		if r.Store {
+			nStores++
+		}
+	}
+	tags, dirty, stamp, clock := l1.tags, l1.dirty, l1.stamp, l1.clock
+	shift, mask := l1.lineShift, l1.setMask
+	twoWay, wa := l1.assoc == 2, l1.cfg.WriteAllocate
+	below := levels[1:]
+	var l2 *Cache
+	if len(below) == 1 && below[0].assoc == 1 && below[0].pow2 && !below[0].cfg.NextLinePrefetch {
+		l2 = below[0]
+	}
+	var tags2 []int64
+	var dirty2 []bool
+	var shift2 uint
+	var mask2 int64
+	var wa2 bool
+	if l2 != nil {
+		tags2, dirty2, shift2, mask2, wa2 = l2.tags, l2.dirty, l2.lineShift, l2.setMask, l2.cfg.WriteAllocate
+	}
+	var s1, s2 Stats
 	for i := int64(0); i < n; i++ {
-		for _, mi := range members {
-			r := &g[mi]
-			addr := r.Base + i*r.Stride
-			if fastL1 {
-				line := addr >> l1.lineShift
-				if s := l1.set(line); l1.tags[s] == line {
-					if r.Store {
-						l1.stats.Stores++
-						if l1.cfg.WriteAllocate {
-							l1.dirty[s] = true
-						}
-					} else {
-						l1.stats.Loads++
+		for j := 0; j < k; j++ {
+			a := addr[j]
+			addr[j] = a + stride[j]
+			st := store[j]
+			line := a >> shift
+			var slot int
+			hit := false
+			if twoWay {
+				b := int(line&mask) << 1
+				switch {
+				case tags[b] == line:
+					slot, hit = b, true
+				case tags[b+1] == line:
+					slot, hit = b+1, true
+				default:
+					// Cache.install's victim: an empty way first, else
+					// the smaller stamp (way 0 on a tie).
+					slot = b
+					if tags[b] != -1 && (tags[b+1] == -1 || stamp[b+1] < stamp[b]) {
+						slot = b + 1
+					}
+				}
+			} else {
+				slot = int(line & mask)
+				hit = tags[slot] == line
+			}
+			if hit {
+				if twoWay {
+					clock++
+					stamp[slot] = clock
+				}
+				if st && wa {
+					dirty[slot] = true
+				}
+				continue
+			}
+			if st {
+				s1.StoreMisses++
+			} else {
+				s1.LoadMisses++
+			}
+			if !st || wa {
+				if twoWay {
+					clock++
+					stamp[slot] = clock
+				}
+				if tags[slot] != -1 && dirty[slot] {
+					s1.Writebacks++
+				}
+				tags[slot] = line
+				dirty[slot] = st
+			}
+			switch {
+			case l2 != nil:
+				line2 := a >> shift2
+				s := int(line2 & mask2)
+				if tags2[s] == line2 {
+					if st && wa2 {
+						dirty2[s] = true
 					}
 					continue
 				}
-			}
-			if r.Store {
-				storeThrough(levels, addr)
-			} else {
-				loadThrough(levels, addr)
+				if st {
+					s2.StoreMisses++
+				} else {
+					s2.LoadMisses++
+				}
+				if !st || wa2 {
+					if tags2[s] != -1 && dirty2[s] {
+						s2.Writebacks++
+					}
+					tags2[s] = line2
+					dirty2[s] = st
+				}
+			case len(below) > 0:
+				if st {
+					storeThrough(below, a)
+				} else {
+					loadThrough(below, a)
+				}
 			}
 		}
+	}
+	// Every L1 access of the component is counted arithmetically; every
+	// L1 miss reaches the next level as one access of the same kind.
+	s1.Loads = uint64(n) * (uint64(k) - nStores)
+	s1.Stores = uint64(n) * nStores
+	l1.clock = clock
+	l1.stats.Add(s1)
+	if l2 != nil {
+		s2.Loads, s2.Stores = s1.LoadMisses, s1.StoreMisses
+		l2.stats.Add(s2)
 	}
 }

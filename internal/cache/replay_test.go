@@ -27,6 +27,13 @@ func replayConfigs() map[string][]Config {
 		"prefetchL2":     {{SizeBytes: 512, LineBytes: 32}, {SizeBytes: 4096, LineBytes: 64, WriteAllocate: true, NextLinePrefetch: true}},
 		"threeLevel":     {{SizeBytes: 256, LineBytes: 32}, {SizeBytes: 1024, LineBytes: 32, Assoc: 2}, {SizeBytes: 8192, LineBytes: 128, WriteAllocate: true}},
 		"coarseThenFine": {{SizeBytes: 512, LineBytes: 64}, {SizeBytes: 2048, LineBytes: 32, WriteAllocate: true}},
+		// The inlined two-level interleaved path: 2-way and direct-mapped
+		// L1s over one direct-mapped L2, both write policies at each level.
+		"assoc2OverDM":     {{SizeBytes: 512, LineBytes: 32, Assoc: 2}, {SizeBytes: 4096, LineBytes: 64, WriteAllocate: true}},
+		"assoc2WAOverDM":   {{SizeBytes: 512, LineBytes: 32, Assoc: 2, WriteAllocate: true}, {SizeBytes: 4096, LineBytes: 64, WriteAllocate: true}},
+		"line64OverDM":     {{SizeBytes: 512, LineBytes: 64}, {SizeBytes: 4096, LineBytes: 64, WriteAllocate: true}},
+		"writeAllocOverWT": {{SizeBytes: 512, LineBytes: 32, WriteAllocate: true}, {SizeBytes: 4096, LineBytes: 64}},
+		"advisorAssoc2":    {{SizeBytes: 16 << 10, LineBytes: 32, Assoc: 2}, UltraSparc2L2()},
 	}
 }
 
@@ -74,6 +81,10 @@ func randRuns(rng *rand.Rand, groups int) []Run {
 	return runs
 }
 
+// checkSameState requires identical statistics, tags and dirty bits,
+// naming the first slot that differs, and then, through StateEqual, the
+// same LRU order in every set: a wrong recency refresh fails at the
+// trial that made it.
 func checkSameState(t *testing.T, label string, want, got []*Cache) {
 	t.Helper()
 	for l := range want {
@@ -87,6 +98,9 @@ func checkSameState(t *testing.T, label string, want, got []*Cache) {
 			if want[l].dirty[i] != got[l].dirty[i] {
 				t.Fatalf("%s: L%d dirty[%d] = %v per-access, %v batched", label, l+1, i, want[l].dirty[i], got[l].dirty[i])
 			}
+		}
+		if !want[l].StateEqual(got[l]) {
+			t.Fatalf("%s: L%d LRU order differs", label, l+1)
 		}
 	}
 }

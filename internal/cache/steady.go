@@ -1159,17 +1159,6 @@ func statsSliceEq(a, b []Stats) bool {
 	return true
 }
 
-func addStats(a, b Stats) Stats {
-	return Stats{
-		Loads:       a.Loads + b.Loads,
-		Stores:      a.Stores + b.Stores,
-		LoadMisses:  a.LoadMisses + b.LoadMisses,
-		StoreMisses: a.StoreMisses + b.StoreMisses,
-		Writebacks:  a.Writebacks + b.Writebacks,
-		Prefetches:  a.Prefetches + b.Prefetches,
-	}
-}
-
 func subStats(a, b Stats) Stats {
 	return Stats{
 		Loads:       a.Loads - b.Loads,

@@ -41,16 +41,9 @@ func StripMine(n *ir.Nest, loopName, tileName string, factor int) (*ir.Nest, err
 		return nil, fmt.Errorf("transform: loop %q already exists", tileName)
 	}
 	out := n.Clone()
-	orig := out.Loops[idx]
-	if orig.Step != 1 {
-		return nil, fmt.Errorf("transform: strip-mining non-unit-step loop %q", loopName)
-	}
-	tile := ir.Loop{Name: tileName, Lo: orig.Lo, Hi: orig.Hi, Step: factor}
-	elem := ir.Loop{
-		Name: loopName,
-		Lo:   ir.BoundOf(ir.Var(tileName, 0)),
-		Hi:   ir.BoundOf(append([]ir.Expr{ir.Var(tileName, factor-1)}, orig.Hi.Exprs...)...),
-		Step: 1,
+	tile, elem, err := stripLoop(out.Loops[idx], tileName, factor)
+	if err != nil {
+		return nil, err
 	}
 	loops := make([]ir.Loop, 0, len(out.Loops)+1)
 	loops = append(loops, out.Loops[:idx]...)
@@ -58,6 +51,22 @@ func StripMine(n *ir.Nest, loopName, tileName string, factor int) (*ir.Nest, err
 	loops = append(loops, out.Loops[idx+1:]...)
 	out.Loops = loops
 	return out, nil
+}
+
+// stripLoop splits one unit-step loop into its tile-controlling loop
+// and its element loop. The two share orig's upper-bound expressions.
+func stripLoop(orig ir.Loop, tileName string, factor int) (tile, elem ir.Loop, err error) {
+	if orig.Step != 1 {
+		return tile, elem, fmt.Errorf("transform: strip-mining non-unit-step loop %q", orig.Name)
+	}
+	tile = ir.Loop{Name: tileName, Lo: orig.Lo, Hi: orig.Hi, Step: factor}
+	elem = ir.Loop{
+		Name: orig.Name,
+		Lo:   ir.BoundOf(ir.Var(tileName, 0)),
+		Hi:   ir.BoundOf(append([]ir.Expr{ir.Var(tileName, factor-1)}, orig.Hi.Exprs...)...),
+		Step: 1,
+	}
+	return tile, elem, nil
 }
 
 // Interchange reorders the nest's loops into the given permutation of
@@ -89,7 +98,16 @@ func Interchange(n *ir.Nest, order []string) (*ir.Nest, error) {
 	for newPos, old := range perm {
 		loops[newPos] = out.Loops[old]
 	}
-	// Bound variables must be defined by enclosing loops.
+	if err := checkBoundsEnclosed(loops); err != nil {
+		return nil, err
+	}
+	out.Loops = loops
+	return out, nil
+}
+
+// checkBoundsEnclosed requires every loop's bounds to use only the
+// variables of loops that enclose it.
+func checkBoundsEnclosed(loops []ir.Loop) error {
 	for newPos, l := range loops {
 		enclosing := map[string]bool{}
 		for p := 0; p < newPos; p++ {
@@ -98,13 +116,12 @@ func Interchange(n *ir.Nest, order []string) (*ir.Nest, error) {
 		for _, e := range append(append([]ir.Expr{}, l.Lo.Exprs...), l.Hi.Exprs...) {
 			for v, c := range e.Coeff {
 				if c != 0 && !enclosing[v] {
-					return nil, fmt.Errorf("transform: loop %q bound uses %q which would no longer enclose it", l.Name, v)
+					return fmt.Errorf("transform: loop %q bound uses %q which would no longer enclose it", l.Name, v)
 				}
 			}
 		}
 	}
-	out.Loops = loops
-	return out, nil
+	return nil
 }
 
 // checkPermutationLegal consults the dependence table: a permutation is
@@ -131,7 +148,13 @@ func checkPermutationLegal(n *ir.Nest, perm []int) error {
 // Figure 6) to a 3-deep nest with loops (outer, middle, inner) =
 // (K, J, I): strip-mine J by tile.TJ and I by tile.TI, then move the
 // tile-controlling loops JJ and II outermost, yielding
-// JJ, II, K, J, I. Loop names are taken from the nest.
+// JJ, II, K, J, I. Loop names are taken from the nest. It is built from
+// one clone and equals StripMine twice followed by Interchange whenever
+// that composition succeeds. It also accepts one nest the composition
+// refuses: a J or I loop that runs at most one iteration and that a
+// dependence does not constrain. Interchange's analysis of the
+// strip-mined nest cannot see that the element loop's symbolic bounds
+// admit at most one iteration, so it reports the dependence as unknown.
 func TileInner2(n *ir.Nest, tile core.Tile) (*ir.Nest, error) {
 	if len(n.Loops) != 3 {
 		return nil, fmt.Errorf("transform: TileInner2 needs a 3-deep nest, got %d", len(n.Loops))
@@ -146,6 +169,11 @@ func TileInner2(n *ir.Nest, tile core.Tile) (*ir.Nest, error) {
 	// strip-mined loops are not constant, so the finer-grained
 	// Interchange check cannot be reused here; deps.Certify re-proves
 	// the composed result from exact distances plus tile intervals.
+	// The same refusal settles the interchange: every remaining distance
+	// is zero, strip-mining leaves zero distances zero, and no loop order
+	// reverses a zero vector, so the strip-mined nest needs no second
+	// dependence analysis (it would only add the spurious unknown of the
+	// at-most-one-iteration case above).
 	tab, err := deps.Dependences(n)
 	if err != nil {
 		return nil, err
@@ -153,17 +181,26 @@ func TileInner2(n *ir.Nest, tile core.Tile) (*ir.Nest, error) {
 	if carried := tab.Carried(); len(carried) > 0 {
 		return nil, fmt.Errorf("transform: nest carries %s; tiling refused", carried[0])
 	}
-	kName, jName, iName := n.Loops[0].Name, n.Loops[1].Name, n.Loops[2].Name
-	jj, ii := jName+jName, iName+iName
-	out, err := StripMine(n, jName, jj, tile.TJ)
+	jj, ii := n.Loops[1].Name+n.Loops[1].Name, n.Loops[2].Name+n.Loops[2].Name
+	for _, name := range []string{jj, ii} {
+		if n.LoopIndex(name) >= 0 {
+			return nil, fmt.Errorf("transform: loop %q already exists", name)
+		}
+	}
+	out := n.Clone()
+	jTile, jElem, err := stripLoop(out.Loops[1], jj, tile.TJ)
 	if err != nil {
 		return nil, err
 	}
-	out, err = StripMine(out, iName, ii, tile.TI)
+	iTile, iElem, err := stripLoop(out.Loops[2], ii, tile.TI)
 	if err != nil {
 		return nil, err
 	}
-	return Interchange(out, []string{jj, ii, kName, jName, iName})
+	out.Loops = []ir.Loop{jTile, iTile, out.Loops[0], jElem, iElem}
+	if err := checkBoundsEnclosed(out.Loops); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // ApplyPlan transforms the nest according to a selection plan: the

@@ -1,10 +1,12 @@
 package transform
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"tiling3d/internal/core"
+	"tiling3d/internal/deps"
 	"tiling3d/internal/ir"
 )
 
@@ -117,6 +119,82 @@ func TestTileInner2Shape(t *testing.T) {
 	s := out.String()
 	if !strings.Contains(s, "do JJ = 1, 28, 7") || !strings.Contains(s, "min(") {
 		t.Errorf("tiled nest rendering unexpected:\n%s", s)
+	}
+}
+
+// TestTileInner2MatchesComposition pins TileInner2, which builds the
+// tiled nest from one clone, to the textbook composition it stands for:
+// strip-mine J, strip-mine I, interchange JJ and II outermost.
+func TestTileInner2MatchesComposition(t *testing.T) {
+	nests := map[string]*ir.Nest{
+		"jacobi": ir.JacobiNest(30, 12),
+		"resid":  ir.ResidNest(40, 12),
+		"psinv":  ir.PsinvNest(18),
+		"rprj3":  ir.Rprj3Nest(10),
+	}
+	for name, n := range nests {
+		for _, tile := range []core.Tile{{TI: 1, TJ: 1}, {TI: 5, TJ: 7}, {TI: 64, TJ: 3}} {
+			got, err := TileInner2(n, tile)
+			if err != nil {
+				t.Fatalf("%s %v: %v", name, tile, err)
+			}
+			k, j, i := n.Loops[0].Name, n.Loops[1].Name, n.Loops[2].Name
+			want, err := StripMine(n, j, j+j, tile.TJ)
+			if err == nil {
+				want, err = StripMine(want, i, i+i, tile.TI)
+			}
+			if err == nil {
+				want, err = Interchange(want, []string{j + j, i + i, k, j, i})
+			}
+			if err != nil {
+				t.Fatalf("%s %v: composition: %v", name, tile, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s %v: TileInner2\n%s\ncomposition\n%s", name, tile, got, want)
+			}
+		}
+	}
+}
+
+// TestTileInner2SingleIterationLoop pins the one nest on which
+// TileInner2 and the composition differ. J runs once and the store
+// A(I,K) does not use it, so the nest carries nothing. After
+// strip-mining, the element loop J has symbolic bounds and Interchange's
+// analysis reports the pair as unknown and refuses; TileInner2 accepts,
+// builds the composition's loops, and deps.Certify proves the result.
+func TestTileInner2SingleIterationLoop(t *testing.T) {
+	i, k := ir.Var("I", 0), ir.Var("K", 0)
+	n := &ir.Nest{
+		Loops: []ir.Loop{
+			ir.SimpleLoop("K", 1, 8), ir.SimpleLoop("J", 1, 1), ir.SimpleLoop("I", 1, 8),
+		},
+		Body: []ir.Ref{
+			ir.Load("A", i, k),
+			ir.StoreRef("A", i, k),
+		},
+	}
+	tile := core.Tile{TI: 4, TJ: 4}
+	got, err := TileInner2(n, tile)
+	if err != nil {
+		t.Fatalf("TileInner2 refused a nest that carries nothing: %v", err)
+	}
+	if err := deps.Certify(n, got); err != nil {
+		t.Fatalf("accepted tiling does not certify: %v", err)
+	}
+	want, err := StripMine(n, "J", "JJ", tile.TJ)
+	if err == nil {
+		want, err = StripMine(want, "I", "II", tile.TI)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Interchange(want, []string{"JJ", "II", "K", "J", "I"}); err == nil {
+		t.Error("Interchange accepted the strip-mined nest; TileInner2's doc comment names this as the case the composition refuses")
+	}
+	l := want.Loops // K, JJ, J, II, I
+	want.Loops = []ir.Loop{l[1], l[3], l[0], l[2], l[4]}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("TileInner2\n%s\nstrip-mined and reordered\n%s", got, want)
 	}
 }
 
