@@ -323,15 +323,29 @@ func BenchmarkCacheSimThroughput(b *testing.B) {
 }
 
 // BenchmarkReplayRuns measures the batched replay engine against the
-// per-access path on the ISSUE's headline microbenchmark: one Jacobi
-// sweep at N=256, K=30, simulated through the UltraSparc2 hierarchy.
-// Orig is the conflict-heavy untiled stream; GcdPad is the padded+tiled
-// stream; GcdPadNT (padding without tiling) has full-row runs, where the
-// per-run setup amortizes over ~64 lines and batching pays off most.
-// ResidOrig128 is the advisor's conflict-bound case: untiled RESID at
-// N=128, K=16, whose rows and planes collide in the L1, on the
-// advisor's three L1 geometries over the paper's L2; every one of its
-// accesses replays through the exact interleaved loop.
+// per-access path on one Jacobi sweep at N=256, K=30, simulated through
+// the UltraSparc2 hierarchy. Orig is the conflict-heavy untiled stream;
+// GcdPad is the padded+tiled stream; GcdPadNT (padding without tiling)
+// has full-row runs, where the per-run setup amortizes over ~64 lines
+// and batching pays off most. RedBlack replays one red-black sweep of
+// each method at N=256, K=30, batched only: the padded streams' stencil
+// references step 16 bytes at a time, 8 bytes apart, half-stride
+// clusters that no member leads, which the exact interleaved loop
+// replays. ResidOrig128
+// is the advisor's conflict-bound case: untiled RESID at N=128, K=16,
+// whose rows and planes collide in the L1, on the advisor's three L1
+// geometries over the paper's L2.
+//
+// The conflict partition sends each stream's accesses to these kinds:
+//
+//	Jacobi/Orig        single, general (conflicts)
+//	Jacobi/GcdPad      single, ladder
+//	Jacobi/GcdPadNT    single, ladder, phased
+//	RedBlack/Orig      single, general (conflicts)
+//	RedBlack/GcdPad    single, general (half-stride clusters, half the accesses)
+//	RedBlack/GcdPadNT  phased, general (half-stride clusters, half the accesses)
+//	ResidOrig128       general (conflicts), every access
+//
 // Metrics are simulated Maccess/s and ns/access.
 func BenchmarkReplayRuns(b *testing.B) {
 	n, k := 256, 30
@@ -348,15 +362,11 @@ func BenchmarkReplayRuns(b *testing.B) {
 			}
 			reportAccessRate(b, accesses)
 		})
-		b.Run(m.String()+"/Batched", func(b *testing.B) {
-			h := cache.UltraSparc2()
-			w.ReplayTrace(h) // warm
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				w.ReplayTrace(h)
-			}
-			reportAccessRate(b, accesses)
-		})
+		b.Run(m.String()+"/Batched", func(b *testing.B) { benchReplay(b, w, cache.UltraSparc2()) })
+	}
+	for _, m := range []core.Method{core.Orig, core.MethodGcdPad, core.MethodGcdPadNT} {
+		rb := stencil.NewTraceWorkload(stencil.RedBlack, n, k, core.Select(m, 2048, n, n, stencil.RedBlack.Spec()))
+		b.Run("RedBlack/"+m.String(), func(b *testing.B) { benchReplay(b, rb, cache.UltraSparc2()) })
 	}
 	rw := stencil.NewTraceWorkload(stencil.Resid, 128, 16, core.Select(core.Orig, 2048, 128, 128, stencil.Resid.Spec()))
 	for _, l1 := range []struct {
@@ -368,15 +378,20 @@ func BenchmarkReplayRuns(b *testing.B) {
 		{"dm32k", cache.Config{SizeBytes: 32 << 10, LineBytes: 64, Assoc: 1}},
 	} {
 		b.Run("ResidOrig128/"+l1.name, func(b *testing.B) {
-			h := cache.MustHierarchy(l1.cfg, cache.UltraSparc2L2())
-			rw.ReplayTrace(h) // warm
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rw.ReplayTrace(h)
-			}
-			reportAccessRate(b, float64(rw.AccessCount()))
+			benchReplay(b, rw, cache.MustHierarchy(l1.cfg, cache.UltraSparc2L2()))
 		})
 	}
+}
+
+// benchReplay times batched replays of w's stream into h after one
+// warming replay.
+func benchReplay(b *testing.B, w *stencil.Workload, h *cache.Hierarchy) {
+	w.ReplayTrace(h) // warm
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.ReplayTrace(h)
+	}
+	reportAccessRate(b, float64(w.AccessCount()))
 }
 
 // emitCounter is a counting sink that also takes phase markers, so a

@@ -350,30 +350,6 @@ func TestNextLinePrefetch(t *testing.T) {
 	}
 }
 
-func TestFanoutDeliversToAllSinks(t *testing.T) {
-	c1 := MustNew(Config{SizeBytes: 1024, LineBytes: 32, Assoc: 1})
-	c2 := MustNew(Config{SizeBytes: 1024, LineBytes: 32, Assoc: 4})
-	var rec Recorder
-	f := NewFanout(probe{c1}, probe{c2}, &rec)
-	f.Load(0)
-	f.Store(64)
-	if c1.Stats().Loads != 1 || c2.Stats().Loads != 1 {
-		t.Error("load not fanned out")
-	}
-	if c1.Stats().Stores != 1 || c2.Stats().Stores != 1 {
-		t.Error("store not fanned out")
-	}
-	if len(rec.Ops) != 2 {
-		t.Errorf("recorder saw %d ops", len(rec.Ops))
-	}
-}
-
-// probe adapts a single Cache to the Memory interface for tests.
-type probe struct{ c *Cache }
-
-func (p probe) Load(addr int64)  { p.c.Load(addr) }
-func (p probe) Store(addr int64) { p.c.Store(addr) }
-
 func TestInvalidConfigs(t *testing.T) {
 	for _, cfg := range []Config{
 		{SizeBytes: 0, LineBytes: 32},

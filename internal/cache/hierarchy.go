@@ -92,31 +92,6 @@ func (h *Hierarchy) ResetStats() {
 	}
 }
 
-// Fanout replays one address stream into several memories at once — the
-// classic trace-driven-simulation optimization: when comparing cache
-// configurations over the same program, one iteration-space walk feeds
-// all of them.
-type Fanout struct {
-	Sinks []Memory
-}
-
-// NewFanout builds a fanout over the given sinks.
-func NewFanout(sinks ...Memory) *Fanout { return &Fanout{Sinks: sinks} }
-
-// Load forwards a read to every sink.
-func (f *Fanout) Load(addr int64) {
-	for _, s := range f.Sinks {
-		s.Load(addr)
-	}
-}
-
-// Store forwards a write to every sink.
-func (f *Fanout) Store(addr int64) {
-	for _, s := range f.Sinks {
-		s.Store(addr)
-	}
-}
-
 // NullMemory discards the address stream. It measures walker overhead in
 // benchmarks and validates walkers in tests that only care about compute.
 type NullMemory struct {

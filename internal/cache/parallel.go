@@ -137,23 +137,3 @@ func ForEach(n, workers int, fn func(i int)) {
 		panic(errs[0])
 	}
 }
-
-// ParallelReplayCtx replays one recorded trace into every sink
-// concurrently — the batched, parallel form of Fanout: walk once, then
-// let each simulated configuration consume the shared read-only trace on
-// its own goroutine. Cancellation and panic isolation follow ForEachCtx:
-// a panicking sink becomes a PointError (indexed like sinks) and a
-// cancelled context stops dispatching further sinks.
-func ParallelReplayCtx(ctx context.Context, runs []Run, sinks []RunSink, workers int) ([]*PointError, error) {
-	return ForEachCtx(ctx, len(sinks), workers, func(i int) {
-		sinks[i].ReplayRuns(runs)
-	})
-}
-
-// ParallelReplay is ParallelReplayCtx without cancellation; a panicking
-// sink's panic is re-raised in the caller.
-func ParallelReplay(runs []Run, sinks []RunSink, workers int) {
-	ForEach(len(sinks), workers, func(i int) {
-		sinks[i].ReplayRuns(runs)
-	})
-}

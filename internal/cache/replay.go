@@ -34,17 +34,19 @@ import "math/bits"
 //     extreme base reaches every line strictly before the others need
 //     it, so after a short exact prefix the leader replays as an
 //     isolated run and every trailing member's access is a guaranteed
-//     L1 hit (see replayLadder for the invariant). Clusters whose
-//     deltas are smaller than the stride instead replay in line-sized
-//     spans: the first lockstep index of a span runs exactly, after
-//     which every touched line is present at the level where each
-//     access terminated, so the remaining indices are accounted
-//     arithmetically (see replayClustered).
+//     L1 hit (see replayLadder for the invariant).
+//   - Equal-stride runs that share sets but visit every shared set in
+//     disjoint lockstep windows replay one whole run at a time in phase
+//     order (see phasedOrder).
 //   - Any other component falls back to an exact per-access interleaved
 //     loop on the concrete caches — still devirtualized, still fed from
 //     runs, but paying one probe per access (replayInterleaved).
 //     Conflicting streams (the paper's pathological sizes) land here,
 //     which is what keeps their ping-ponging miss counts bit-identical.
+//     So do the half-stride clusters of red-black and of the multigrid
+//     restriction and prolongation: same-stride members within one line
+//     but less than a stride apart, so no member leads the others. The
+//     inlined loop replays them faster than batching them span by span.
 //
 // Next-line prefetching installs lines outside a run's own footprint,
 // which breaks the disjointness argument; a hierarchy with prefetching
@@ -59,8 +61,7 @@ type compKind uint8
 
 const (
 	compSingle  compKind = iota // one run: line-batched strided replay
-	compLadder                  // cluster with a strict leader: prefix + leader run + hit arithmetic
-	compCluster                 // same stride, bases within one line: span-batched
+	compLadder                  // same stride, bases within one line, strict leader: prefix + leader run + hit arithmetic
 	compPhased                  // equal-stride runs with disjoint per-set visit windows: one full run at a time
 	compGeneral                 // exact per-access interleaved replay
 )
@@ -131,7 +132,6 @@ func replayRuns(levels []*Cache, runs []Run, memo *replayMemo) {
 		prefetch := false
 		lbFine := int64(1) << levels[0].lineShift
 		lbCoarse := lbFine
-		clusterOK := true
 		ladderOK := true
 		l1WA := levels[0].cfg.WriteAllocate
 		for _, c := range levels {
@@ -145,17 +145,13 @@ func replayRuns(levels []*Cache, runs []Run, memo *replayMemo) {
 			if lb > lbCoarse {
 				lbCoarse = lb
 			}
-			if c.sets*c.assoc < 2 {
-				// A one-line cache cannot hold a cluster's two lines at once.
-				clusterOK = false
-			}
 			if c.sets < 2 {
 				// The ladder argument needs adjacent lines to map to
 				// different sets so a hit can never refresh-race an install.
 				ladderOK = false
 			}
 		}
-		memo.env = replayEnv{lbFine: lbFine, lbCoarse: lbCoarse, clusterOK: clusterOK, ladderOK: ladderOK, l1WA: l1WA}
+		memo.env = replayEnv{lbFine: lbFine, lbCoarse: lbCoarse, ladderOK: ladderOK, l1WA: l1WA}
 		memo.prefetch = prefetch
 		memo.envOK = true
 	}
@@ -182,11 +178,10 @@ func replayRuns(levels []*Cache, runs []Run, memo *replayMemo) {
 // replayEnv carries the per-hierarchy facts the partition and classifiers
 // depend on; it is constant for the lifetime of a replay.
 type replayEnv struct {
-	lbFine    int64 // smallest line size over the levels
-	lbCoarse  int64 // largest line size over the levels
-	clusterOK bool  // every level holds at least two lines
-	ladderOK  bool  // every level has at least two sets
-	l1WA      bool  // first level is write-allocate
+	lbFine   int64 // smallest line size over the levels
+	lbCoarse int64 // largest line size over the levels
+	ladderOK bool  // every level has at least two sets
+	l1WA     bool  // first level is write-allocate
 }
 
 func replayGroup(levels []*Cache, g []Run, n int64, memo *replayMemo, env *replayEnv) {
@@ -206,8 +201,6 @@ func replayGroup(levels []*Cache, g []Run, n int64, memo *replayMemo, env *repla
 		switch kind[c] {
 		case compLadder:
 			replayLadder(levels, g, members, n)
-		case compCluster:
-			replayClustered(levels, g, members, n, env.lbFine)
 		case compPhased:
 			// members is already permuted into phase order (see
 			// phasedOrder); each run replays alone at full speed.
@@ -223,8 +216,9 @@ func replayGroup(levels []*Cache, g []Run, n int64, memo *replayMemo, env *repla
 
 // replayExactGroup replays the members of a group per access in
 // lockstep order through loadThrough/storeThrough: the walk for a whole
-// group when prefetching invalidates every batching argument, and for a
-// conflicting component whose L1 replayInterleaved cannot inline.
+// group when prefetching invalidates every batching argument, for a
+// conflicting component whose L1 replayInterleaved cannot inline, and
+// for a ladder's exact prefix.
 func replayExactGroup(levels []*Cache, g []Run, members []int32, n int64) {
 	for i := int64(0); i < n; i++ {
 		for _, mi := range members {
@@ -417,13 +411,12 @@ func classifyComponent(levels []*Cache, g []Run, members []int32, env *replayEnv
 			hi = r.Base
 		}
 	}
-	if env.clusterOK && hi-lo < env.lbFine {
-		// Within one finest line: at any lockstep index the members'
-		// lines differ by at most one at every level.
-		if ladderShape(g, members, s, lo, hi, env) {
-			return compLadder
-		}
-		return compCluster
+	// Within one finest line, at any lockstep index the members' lines
+	// differ by at most one at every level. Such a component without a
+	// strict leader has pairwise gaps below a line, which phasedOrder
+	// refuses, so it replays interleaved.
+	if hi-lo < env.lbFine && ladderShape(g, members, s, lo, hi, env) {
+		return compLadder
 	}
 	if phasedOrder(levels, g, members, s) {
 		return compPhased
@@ -1001,24 +994,6 @@ func (c *Cache) installFast(line int64, dm bool) int {
 	return c.install(line)
 }
 
-// peek looks a line up without touching statistics or LRU state.
-func (c *Cache) peek(line int64) int {
-	if c.assoc == 1 {
-		s := c.set(line)
-		if c.tags[s] == line {
-			return s
-		}
-		return -1
-	}
-	base := c.set(line) * c.assoc
-	for w := 0; w < c.assoc; w++ {
-		if c.tags[base+w] == line {
-			return base + w
-		}
-	}
-	return -1
-}
-
 // replayLadder replays a cluster with a strict leader (see ladderShape).
 // Every trailing member lags the leader by at least one full stride, so
 // for any line L the leader's first access to L happens at a strictly
@@ -1071,17 +1046,7 @@ func replayLadder(levels []*Cache, g []Run, members []int32, n int64) {
 	if prefix > n {
 		prefix = n
 	}
-	for i := int64(0); i < prefix; i++ {
-		for _, mi := range members {
-			r := &g[mi]
-			addr := r.Base + i*s
-			if r.Store {
-				storeThrough(levels, addr)
-			} else {
-				loadThrough(levels, addr)
-			}
-		}
-	}
+	replayExactGroup(levels, g, members, prefix)
 	rem := n - prefix
 	if rem == 0 {
 		return
@@ -1097,84 +1062,6 @@ func replayLadder(levels []*Cache, g []Run, members []int32, n int64) {
 		} else {
 			l1.stats.Loads += uint64(rem)
 		}
-	}
-}
-
-// replayClustered replays a component whose members share one stride and
-// whose bases all fall within the finest line size: a stencil cluster
-// like {x-1, x, x+1} plus the store to x. The lockstep indices are cut
-// into spans within which no member crosses a line boundary at any level
-// (line sizes are powers of two, so every coarse boundary is also a fine
-// one). The first index of a span replays exactly; afterwards no access
-// of the remaining indices can change cache state:
-//
-//   - a load (or write-allocate store) found or installed its line at L1
-//     on the first index, and no later access can evict it — the
-//     component touches at most two adjacent lines per level, which map
-//     to different sets (or fit together in an associative set);
-//   - a write-around store that missed a level still misses it (nothing
-//     installs on its path), and terminates at the first level holding
-//     its line, exactly as on the first index.
-//
-// The remaining indices are therefore accounted by walking each member's
-// levels once: count span-1 accesses at each level reached, stopping at
-// the first level where the line is present.
-func replayClustered(levels []*Cache, g []Run, members []int32, n int64, lbFine int64) {
-	stride := g[members[0]].Stride
-	for i := int64(0); i < n; {
-		span := n - i
-		for _, mi := range members {
-			if sp := lineSpan(g[mi].Base+i*stride, stride, lbFine, n-i); sp < span {
-				span = sp
-			}
-		}
-		for _, mi := range members {
-			r := &g[mi]
-			addr := r.Base + i*stride
-			if r.Store {
-				storeThrough(levels, addr)
-			} else {
-				loadThrough(levels, addr)
-			}
-		}
-		if rem := uint64(span - 1); rem > 0 {
-			for _, mi := range members {
-				r := &g[mi]
-				clusterTail(levels, r.Base+i*stride, rem, r.Store)
-			}
-		}
-		i += span
-	}
-}
-
-// clusterTail accounts the remaining span-1 accesses of one cluster
-// member: they terminate at the first level whose cache holds the line,
-// missing (and forwarding) at every write-around level above it.
-func clusterTail(levels []*Cache, addr int64, rem uint64, store bool) {
-	for _, c := range levels {
-		line := addr >> c.lineShift
-		if c.peek(line) >= 0 {
-			if store {
-				c.stats.Stores += rem
-			} else {
-				c.stats.Loads += rem
-			}
-			return
-		}
-		if !store || c.cfg.WriteAllocate {
-			// Unreachable when the invariant holds (the first index of
-			// the span installed the line); replay exactly if it ever is.
-			for ; rem > 0; rem-- {
-				if store {
-					storeThrough(levels, addr)
-				} else {
-					loadThrough(levels, addr)
-				}
-			}
-			return
-		}
-		c.stats.Stores += rem
-		c.stats.StoreMisses += rem
 	}
 }
 

@@ -205,7 +205,7 @@ func TestReplayPhasedComponents(t *testing.T) {
 		{Base: 20056328, Stride: 8, Count: 254, Cont: true},
 	}
 	h := MustHierarchy(UltraSparc2L1(), UltraSparc2L2())
-	env := replayEnv{lbFine: 32, lbCoarse: 64, clusterOK: true, ladderOK: true}
+	env := replayEnv{lbFine: 32, lbCoarse: 64, ladderOK: true}
 	var order, start [maxGroup + 1]int32
 	var kind [maxGroup]compKind
 	ncomp := computePartition(h.levels, g, &env, order[:len(g)], start[:len(g)+1], kind[:len(g)])
@@ -270,6 +270,69 @@ func TestReplayPhasedComponents(t *testing.T) {
 	}
 }
 
+// TestReplayHalfStrideClusters pins the routing of same-stride
+// components that fit in one line. Red-black, the multigrid restriction
+// (rprj3) and the prolongation (interp) step 16 bytes with members 8
+// bytes apart, so no member leads the others by a full stride: each is
+// one general component, replayed by the exact interleaved loop. JACOBI's
+// {i-1, i+1} pair at stride 8 has a strict leader and stays a ladder.
+// Every shape must then replay exactly on every test geometry.
+func TestReplayHalfStrideClusters(t *testing.T) {
+	type member struct {
+		off   int64
+		store bool
+	}
+	shapes := []struct {
+		name   string
+		stride int64
+		ms     []member
+		want   compKind
+	}{
+		{"redblack", 16, []member{{0, false}, {-8, false}, {8, false}, {0, true}}, compGeneral},
+		{"rprj3", 16, []member{{0, false}, {8, false}, {16, false}}, compGeneral},
+		{"interp", 16, []member{{0, false}, {0, true}, {8, false}, {8, true}}, compGeneral},
+		{"jacobi", 8, []member{{-8, false}, {8, false}}, compLadder},
+	}
+	group := func(base, stride int64, count int32, ms []member) []Run {
+		g := make([]Run, len(ms))
+		for i, m := range ms {
+			g[i] = Run{Base: base + m.off, Stride: stride, Count: count, Store: m.store, Cont: i > 0}
+		}
+		return g
+	}
+
+	h := MustHierarchy(UltraSparc2L1(), UltraSparc2L2())
+	h.ReplayRuns(nil) // derives the hierarchy's replayEnv
+	for _, sh := range shapes {
+		g := group(1<<20, sh.stride, 100, sh.ms)
+		var order, start [maxGroup + 1]int32
+		var kind [maxGroup]compKind
+		ncomp := computePartition(h.levels, g, &h.memo.env, order[:len(g)], start[:len(g)+1], kind[:len(g)])
+		if ncomp != 1 || kind[0] != sh.want {
+			t.Errorf("%s: ncomp=%d kind=%v, want one component of kind %v", sh.name, ncomp, kind[:ncomp], sh.want)
+		}
+	}
+
+	for name, cfgs := range replayConfigs() {
+		t.Run(name, func(t *testing.T) {
+			for _, sh := range shapes {
+				want, got := MustHierarchy(cfgs...), MustHierarchy(cfgs...)
+				for _, align := range []int64{0, 8, 24, 56} {
+					for _, count := range []int32{5, 300} {
+						g := group(1<<20+align, sh.stride, count, sh.ms)
+						ExpandRuns(g, want)
+						got.ReplayRuns(g)
+						checkSameState(t, fmt.Sprintf("%s align %d count %d", sh.name, align, count), want.levels, got.levels)
+						if t.Failed() {
+							return
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestReplayMemoKeyIncludesAlignmentAndCount pins two ways the partition
 // memo could go stale while strides and byte deltas match, both found by
 // kernel-level differential testing:
@@ -327,40 +390,6 @@ func TestRunsMayShareSet(t *testing.T) {
 	d := Run{Base: 1184, Stride: 8, Count: 8} // lines 37..38 ≡ 5..6 (mod 8): disjoint from a
 	if runsMayShareSet(levels, &a, &d) {
 		t.Error("disjoint footprints flagged as conflicting")
-	}
-}
-
-func TestParallelReplayDeterministic(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	runs := randRuns(rng, 40)
-	build := func() []RunSink {
-		sinks := make([]RunSink, 16)
-		for i := range sinks {
-			if i%2 == 0 {
-				sinks[i] = MustHierarchy(UltraSparc2L1(), UltraSparc2L2())
-			} else {
-				sinks[i] = MustNew(Config{SizeBytes: 1024, LineBytes: 32, Assoc: 2})
-			}
-		}
-		return sinks
-	}
-	serial, parallel := build(), build()
-	ParallelReplay(runs, serial, 1)
-	ParallelReplay(runs, parallel, 8)
-	stats := func(s RunSink) Stats {
-		switch v := s.(type) {
-		case *Hierarchy:
-			return v.Level(0).Stats()
-		case *Cache:
-			return v.Stats()
-		}
-		t.Fatal("unexpected sink type")
-		return Stats{}
-	}
-	for i := range serial {
-		if a, b := stats(serial[i]), stats(parallel[i]); a != b {
-			t.Errorf("sink %d: serial %+v, parallel %+v", i, a, b)
-		}
 	}
 }
 

@@ -149,25 +149,6 @@ func (r *RunRecorder) Accesses() uint64 {
 	return n
 }
 
-// RunFanout replays each batch into several sinks in sequence.
-type RunFanout struct {
-	Sinks []RunSink
-}
-
-// ReplayRuns forwards the batch to every sink.
-func (f *RunFanout) ReplayRuns(runs []Run) {
-	for _, s := range f.Sinks {
-		s.ReplayRuns(runs)
-	}
-}
-
-// PlaneMark forwards the marker to every sink that understands markers.
-func (f *RunFanout) PlaneMark(m PlaneMark) {
-	for _, s := range f.Sinks {
-		MarkPlane(s, m)
-	}
-}
-
 // ReplayRuns counts the batch without expanding it.
 func (m *NullMemory) ReplayRuns(runs []Run) {
 	for _, r := range runs {
@@ -192,27 +173,12 @@ func (r *Recorder) ReplayRuns(runs []Run) { ExpandRuns(runs, r) }
 // recorder can be reused across sweeps without reallocating.
 func (r *Recorder) Reset() { r.Ops = r.Ops[:0] }
 
-// ReplayRuns forwards the batch to every sink, using each sink's batched
-// path when it has one.
-func (f *Fanout) ReplayRuns(runs []Run) {
-	for _, s := range f.Sinks {
-		if rs, ok := s.(RunSink); ok {
-			rs.ReplayRuns(runs)
-		} else {
-			ExpandRuns(runs, s)
-		}
-	}
-}
-
 var (
 	_ RunSink   = (*Hierarchy)(nil)
 	_ RunSink   = (*Cache)(nil)
 	_ RunSink   = (*NullMemory)(nil)
 	_ RunSink   = (*Recorder)(nil)
 	_ RunSink   = (*RunRecorder)(nil)
-	_ RunSink   = (*RunFanout)(nil)
 	_ PlaneSink = (*RunRecorder)(nil)
-	_ PlaneSink = (*RunFanout)(nil)
-	_ RunSink   = (*Fanout)(nil)
 	_ RunSink   = PerAccess{}
 )

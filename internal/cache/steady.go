@@ -55,7 +55,7 @@ import "fmt"
 // when a TLB is attached): the engine snapshots only at unit indices
 // divisible by t0 = max over levels of lineBytes/gcd(Δ, lineBytes) and
 // refuses steadiness (falls back to full replay) when t0 exceeds
-// MaxPeriod — the "pathological padding" case — when Δ is not constant
+// maxPeriod — the "pathological padding" case — when Δ is not constant
 // across arrays (the walkers emit Δ=0 then), or when a phase unit's
 // work is too small to amortize the snapshots.
 
@@ -170,11 +170,6 @@ type Steady struct {
 	levels []*Cache // cache levels, TLB (if any) last
 	slots  int      // total cache slots across levels
 
-	// MaxPeriod caps the detectable cycle period (in phase units); it
-	// also bounds the pattern-ring memory. Periods are multiples of the
-	// alignment factor t0, so a phase whose t0 exceeds MaxPeriod falls
-	// back to full replay.
-	MaxPeriod int
 	// MinUnitAccesses gates detection: phases whose first unit issues
 	// fewer accesses than this replay in full (snapshots would cost more
 	// than they save). Zero means the total slot count; negative
@@ -265,6 +260,12 @@ const steadyHistory = 48
 // (about 550); deeper cycles recycle the table and replay in full.
 const maxSteadyAnchors = 1024
 
+// maxPeriod caps the detectable cycle period (in phase units); it also
+// bounds the pattern-ring memory. Periods are multiples of the alignment
+// factor t0, so a phase whose t0 exceeds maxPeriod falls back to full
+// replay.
+const maxPeriod = 8
+
 // NewSteady wraps a hierarchy in the steady-state engine. Feeding the
 // returned sink produces statistics and final state bit-identical to
 // feeding the hierarchy directly.
@@ -290,7 +291,7 @@ func NewSteadyTLB(m *MemoryWithTLB) *Steady {
 }
 
 func newSteady(raw RunSink, levels []*Cache) *Steady {
-	s := &Steady{raw: raw, levels: levels, MaxPeriod: 8}
+	s := &Steady{raw: raw, levels: levels}
 	for _, c := range levels {
 		s.slots += len(c.tags)
 	}
@@ -314,7 +315,7 @@ type SteadyDiag struct {
 	SweepEchoes    uint64
 	RefusedDelta   uint64 // no uniform translation (Δ=0/mixed) or <2 units
 	RefusedBudget  uint64 // unit work too small to amortize detection
-	RefusedT0      uint64 // alignment factor t0 exceeds MaxPeriod
+	RefusedT0      uint64 // alignment factor t0 exceeds the period cap (8)
 	RefusedShort   uint64 // too few units for the alignment factor
 }
 
@@ -532,8 +533,8 @@ func (s *Steady) phaseViable() bool {
 		s.aViable = false
 		s.pinsOK = s.planes >= 3 && s.curAcc*int64(s.planes) >= int64(s.slots)*16
 		if s.ring == nil {
-			s.ring = make([]steadyPat, s.MaxPeriod+1)
-			s.snaps = make([]steadySnap, s.MaxPeriod+1)
+			s.ring = make([]steadyPat, maxPeriod+1)
+			s.snaps = make([]steadySnap, maxPeriod+1)
 		}
 		return true
 	}
@@ -575,10 +576,10 @@ func (s *Steady) phaseViable() bool {
 			s.t0 = f
 		}
 	}
-	s.aViable = budget && s.t0 <= s.MaxPeriod && s.planes >= 2*s.t0+2
+	s.aViable = budget && s.t0 <= maxPeriod && s.planes >= 2*s.t0+2
 	if !s.aViable {
 		if budget {
-			if s.t0 > s.MaxPeriod {
+			if s.t0 > maxPeriod {
 				s.diag.RefusedT0++
 			} else {
 				s.diag.RefusedShort++
@@ -594,8 +595,8 @@ func (s *Steady) phaseViable() bool {
 	// pin regardless: replaying the whole phase is what is at stake.
 	s.pinsOK = !budget || s.curAcc*int64(s.planes) >= int64(s.slots)*16
 	if s.ring == nil {
-		s.ring = make([]steadyPat, s.MaxPeriod+1)
-		s.snaps = make([]steadySnap, s.MaxPeriod+1)
+		s.ring = make([]steadyPat, maxPeriod+1)
+		s.snaps = make([]steadySnap, maxPeriod+1)
 	}
 	return true
 }
@@ -771,7 +772,7 @@ func (s *Steady) findCycle() (int, bool) {
 	if cur == nil || curPat == nil {
 		return 0, false
 	}
-	for T := s.t0; T <= s.MaxPeriod && T <= s.unit; T += s.t0 {
+	for T := s.t0; T <= maxPeriod && T <= s.unit; T += s.t0 {
 		prev := s.snapAt(s.unit - T)
 		prevPat := s.ringAt(s.unit - T)
 		if prev == nil || prevPat == nil || cur.hash != prev.hash {
