@@ -64,7 +64,7 @@ func main() {
 		quick      = flag.Bool("quick", false, "shrink sweeps for a fast smoke run")
 		withPerf   = flag.Bool("perf", true, "include native wall-clock measurements")
 		workers    = flag.Int("workers", cache.DefaultWorkers(), "simulation worker goroutines (results are identical for any count)")
-		steady     = flag.Bool("steady", true, "steady-state engine: plane-cycle detection, and measured sweeps replayed from the traced warm-up (identical results; -steady=false simulates every plane of every sweep)")
+		steady     = flag.Bool("steady", true, "steady-state engine: plane-cycle detection, and measured sweeps served from the recorded warm-up (identical results; -steady=false simulates every plane of every sweep)")
 		warmShare  = flag.Bool("warmshare", true, "share results between sweep points with identical selection plans (identical results; -warmshare=false simulates every point)")
 		verbose    = flag.Bool("v", false, "per-point diagnostics on stderr: how each sweep point was resolved (simulated/shared/degraded) and steady-engine counters")
 		checkpoint = flag.String("checkpoint", "", "journal completed simulation points to this file (JSONL)")

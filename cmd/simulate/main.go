@@ -41,7 +41,7 @@ func main() {
 		svgPath    = flag.String("svg", "", "also write SVG charts to <path>-l1.svg and <path>-l2.svg")
 		asJSON     = flag.Bool("json", false, "emit the series as JSON instead of a table")
 		workers    = flag.Int("workers", cache.DefaultWorkers(), "simulation worker goroutines (results are identical for any count)")
-		steady     = flag.Bool("steady", true, "steady-state engine: plane-cycle detection, and measured sweeps replayed from the traced warm-up (identical results; -steady=false simulates every plane of every sweep)")
+		steady     = flag.Bool("steady", true, "steady-state engine: plane-cycle detection, and measured sweeps served from the recorded warm-up (identical results; -steady=false simulates every plane of every sweep)")
 		checkpoint = flag.String("checkpoint", "", "journal completed simulation points to this file (JSONL)")
 		resume     = flag.Bool("resume", false, "with -checkpoint: load already-completed points instead of recomputing them")
 		pointTO    = flag.Duration("point-timeout", 0, "per-point watchdog; an expired point retries without the steady engine, then is marked FAIL (0 = off)")

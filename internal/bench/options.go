@@ -53,7 +53,7 @@ type Options struct {
 	// wall-clock changes, computed bytes do not.
 	ExecSchedule stencil.ScheduleMode
 	// DisableSteady turns off the steady-state engine — plane-cycle
-	// detection and delta replay of the measured sweeps from the traced
+	// detection and delta replay of the measured sweeps from the recorded
 	// warm-up (cache.WarmMeasure) — forcing every plane of every sweep
 	// to be simulated in full. The zero value (engine on) is the
 	// default; statistics are bit-identical either way, so the flag
@@ -258,8 +258,8 @@ func (o Options) Plan(k stencil.Kernel, m core.Method, n int) core.Plan {
 
 // steady wraps a hierarchy in the steady-state engine, or returns nil
 // when the options disable it. Every simulation path in this package
-// picks its engine through this helper (simSinkCache for single
-// caches) so -steady=false reaches them all.
+// picks its engine through this helper so -steady=false reaches them
+// all.
 func (o Options) steady(h *cache.Hierarchy) *cache.Steady {
 	if o.DisableSteady {
 		return nil
@@ -272,13 +272,4 @@ func (o Options) steady(h *cache.Hierarchy) *cache.Steady {
 // reaches every single-sweep experiment.
 func (o Options) warmMeasure(h *cache.Hierarchy, sweep func(cache.RunSink)) {
 	cache.WarmMeasure(h, o.steady(h), 1, sweep)
-}
-
-// simSinkCache wraps a single-level cache in the steady-state engine
-// unless the options disable it.
-func (o Options) simSinkCache(c *cache.Cache) cache.RunSink {
-	if o.DisableSteady {
-		return c
-	}
-	return cache.NewSteadyCache(c)
 }

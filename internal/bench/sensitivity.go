@@ -20,13 +20,13 @@ type AssocPoint struct {
 
 // AssocSensitivity simulates one kernel/size across L1 associativities
 // (same capacity and line size). Per method, a single batched trace —
-// with its plane markers — is recorded once and replayed into every
-// associativity concurrently; each associativity gets its own
-// steady-state engine (LRU order is part of the state fingerprint, so
-// set-associative caches detect cycles too). The interesting output is
-// how much of the untiled code's conflict misses hardware ways absorb,
-// and that the conflict-free GcdPad configuration has nothing left for
-// them to fix.
+// with its plane markers — is recorded once and replayed concurrently
+// into every associativity's one-level hierarchy under the options'
+// warm-measure protocol (LRU order is part of the steady engine's state
+// fingerprint, so set-associative caches detect cycles too). The
+// interesting output is how much of the untiled code's conflict misses
+// hardware ways absorb, and that the conflict-free GcdPad configuration
+// has nothing left for them to fix.
 func AssocSensitivity(k stencil.Kernel, n int, assocs []int, opt Options) []AssocPoint {
 	out := make([]AssocPoint, len(assocs))
 	for i, a := range assocs {
@@ -38,27 +38,13 @@ func AssocSensitivity(k stencil.Kernel, n int, assocs []int, opt Options) []Asso
 		w := stencil.NewTraceWorkload(k, n, opt.K, plan)
 		rec.Reset()
 		w.ReplayTrace(&rec)
-		caches := make([]*cache.Cache, len(assocs))
-		sinks := make([]cache.RunSink, len(assocs))
-		for i, a := range assocs {
+		forEachCtx(opt, len(assocs), func(i int) {
 			cfg := opt.L1
-			cfg.Assoc = a
-			caches[i] = cache.MustNew(cfg) //lint:allow mustcheck -- capacity/line vetted upstream; assoc divides by construction
-			sinks[i] = opt.simSinkCache(caches[i])
-		}
-		replay := func() {
-			forEachCtx(opt, len(sinks), func(i int) {
-				rec.ReplayInto(sinks[i])
-			})
-		}
-		replay() // warm-up
-		for _, c := range caches {
-			c.ResetStats()
-		}
-		replay()
-		for i, c := range caches {
-			set(&out[i], c.Stats().MissRate())
-		}
+			cfg.Assoc = assocs[i]
+			h := cache.MustHierarchy(cfg) //lint:allow mustcheck -- capacity/line vetted upstream; assoc divides by construction
+			opt.warmMeasure(h, rec.ReplayInto)
+			set(&out[i], h.Level(0).Stats().MissRate())
+		})
 	}
 	run(core.Orig, func(p *AssocPoint, r float64) { p.Orig = r })
 	run(core.MethodTile, func(p *AssocPoint, r float64) { p.Tile = r })

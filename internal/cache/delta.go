@@ -3,81 +3,100 @@ package cache
 import "fmt"
 
 // Delta simulation. A sweep point's trace decomposes into PlaneMark
-// phases. While tracing (the warm sweep), the steady engine keeps a
-// complete record of every phase: per-unit anchors (run streams modulo
-// translation), per-unit stats deltas, state pins, and the raw end
-// state. Those records form the *sweep trace*: a later identical sweep
-// replays from them — O(runs) anchor replays plus one state compare per
-// phase — instead of walking the workload again.
+// phases. While WarmMeasure's warm-up sweep runs through the steady
+// engine, the engine keeps a record of every phase whose markers are
+// regular: state pins (each with the statistics of the rest of its
+// phase), the phase total and the raw end state. Records hold no copy
+// of the stream. Every measured sweep walks the workload through the
+// engine again, and the engine serves it from the records.
 //
 // Exactness argument, in three steps:
 //
-//  1. A record is only kept whole-phase: the phase ended with every
-//     unit anchored (endPhase → archivePhase), so the record reproduces
-//     the phase's stream, stats, and end state from the state the traced
-//     sweep entered it with. Records are never overwritten while the
-//     trace exists.
-//  2. Replaying a later sweep: the workload's trace is a pure function
-//     of its plan, so the sweep's stream is byte-identical to the traced
-//     warm sweep's. For each phase the engine replays the record's
-//     anchors unit by unit — this IS the phase's stream, so the live
-//     state evolves exactly as full simulation would — until the live
+//  1. A record describes its phase as the warm-up ran it: from each pin
+//     (the state after unit u) the rest of the phase added the pin's
+//     statistics and ended in the recorded end state.
+//  2. A measured sweep: the workload's stream is a pure function of its
+//     plan, so each phase's stream is byte-identical to the warm-up's.
+//     In a recorded phase the engine simulates units until the live
 //     state equals one of the record's pins (raw order-normalized
-//     equality). From the pin on, the remainder is the recorded
-//     remainder: stats deltas are summed and the recorded end state
-//     restored.
-//  3. Chaining: once one phase of the replay has committed via a pin
-//     (or a full replay landed exactly on the record's end state), the
-//     live state equals the record's end state — which is, by step 1,
-//     the state the traced sweep entered its *next* phase with. Every
-//     subsequent phase therefore starts from its record's entry state
-//     and commits whole with zero replay. The fixed-point corollary: if
-//     the first delta-replayed sweep pinned anywhere, its end state
-//     equals the traced sweep's end state, so the next sweep starts from
-//     the exact state the previous one did and the whole sweep commits
-//     via the instant-repeat cache with a single state compare.
+//     equality). From the pin on, the rest of the phase is the recorded
+//     rest: its statistics are added, the recorded end state restored,
+//     and the phase's remaining runs ignored — an emitter that asks
+//     SkipRest (PhaseSkipper) does not even generate them.
+//  3. Chaining: once a phase has committed (or a simulated phase landed
+//     exactly on its record's end state), the live state equals the
+//     state the warm-up entered the *next* phase with, which that
+//     phase's record was measured from — so it commits whole on entry.
+//     A phase with no record is simulated and keeps the chain, because
+//     simulating the same stream from an equal state ends in an equal
+//     state. The fixed point: a first measured sweep that ends chained
+//     ends in the warm-up's end state, which is the state it began
+//     from, so every later sweep repeats it (WarmMeasure).
 //
-// A trace that cannot be completed — a phase that ended without a whole
-// record, more phases than steadyHistory, a recycled anchor table —
-// refuses the delta replay before ANY mutation, and the caller falls
-// back to full simulation. Degraded or partial reuse never happens: the
-// replay is all-or-nothing per sweep.
+// Stream identity is what makes a commit exact, and it cannot be
+// checked without a copy of the stream. A walked marker that disagrees
+// with its record means the source diverged from its warm-up: the
+// engine panics, and callers that isolate panics (the bench ladder)
+// retry the point raw.
+
+// steadyPhase is the record of one warm-up phase: its shape, the pins,
+// the phase total and the raw end state. While the phase is recorded,
+// total holds the statistics at its start and each pin's rest those at
+// the pin; archivePhase turns both into differences.
+type steadyPhase struct {
+	delta  int64
+	planes int
+	level  int
+	pins   []steadyPin
+	total  []Stats
+	// The raw state at the end of the phase. A measured sweep that
+	// matches a pin repeats the warm-up's stream from there on, so it ends
+	// in exactly this state (stamp values are stale but their order — all
+	// that affects behavior — is preserved).
+	endTags  [][]int64
+	endDirty [][]bool
+	endStamp [][]uint64
+}
+
+// pinAt returns the record's pin at unit u, if any.
+func (r *steadyPhase) pinAt(u int) *steadyPin {
+	for i := range r.pins {
+		if r.pins[i].unit == u {
+			return &r.pins[i]
+		}
+	}
+	return nil
+}
 
 // deltaState is the engine's delta layer (a field of Steady).
 type deltaState struct {
-	tracing bool
-	ok      bool          // the trace in progress is still complete
-	starts  int           // phases begun while tracing
-	recs    []steadyPhase // one record per traced phase, in trace order
-	traced  bool          // a complete trace is available
-	stale   bool          // the anchor table was recycled since the trace was captured
-
-	// Instant-repeat cache: the entry encode, summed stats, and raw end
-	// state of the last fully delta-replayed sweep. A sweep starting
-	// from the same state commits with one compare.
-	repOK    bool
-	repEnc   [][]int64
-	repTot   []Stats
-	repTags  [][]int64
-	repDirty [][]bool
-	repStamp [][]uint64
+	recording bool           // the warm-up sweep is being recorded
+	measuring bool           // a measured sweep is being served from the records
+	recs      []*steadyPhase // per warm-up phase, in order; nil where none was kept
+	traced    bool           // the warm-up ended between phases with a record kept
+	// cur is the record of the current phase: being assembled during the
+	// warm-up (nil once dropped), or being served in a measured sweep.
+	cur     *steadyPhase
+	ord     int  // phases begun in the measured sweep
+	chained bool // the live state equals the warm-up's at this point
+	budget  int  // pin compares left before the next hit
 
 	diag DeltaDiag
 }
 
 // DeltaDiag counts what the delta layer did for one engine.
 type DeltaDiag struct {
-	Traced bool // a complete sweep trace was captured
+	Traced bool // the warm-up left phase records
 
-	Sweeps          uint64 // sweeps completed by delta replay
-	Instant         uint64 // of those, via the instant-repeat cache
+	Sweeps          uint64 // measured sweeps served from the records
+	Instant         uint64 // of those, repeats of a first sweep that ended chained
 	PhasesCommitted uint64 // phases committed from a record
-	PhasesChained   uint64 // of those, entered chained (no pin hunt)
-	PhasesReplayed  uint64 // phases replayed in full (no pin matched)
-	UnitsReplayed   uint64 // units replayed from anchors (up to a pin hit)
-	UnitsSkipped    uint64 // units committed without replay
+	PhasesChained   uint64 // of those, committed whole on entry
+	PhasesReplayed  uint64 // recorded phases simulated in full (no pin matched)
+	UnitsReplayed   uint64 // units of recorded phases simulated (up to a pin hit)
+	UnitsSkipped    uint64 // units committed without simulation
 	PinCompares     uint64 // state encodes+compares spent hunting pins
-	Fallbacks       uint64 // ReplayDeltaSweep refusals (stale trace)
+	Fallbacks       uint64 // measured-sweep phases with no record, run live
 }
 
 // String renders the counters compactly for -v diagnostics.
@@ -95,222 +114,180 @@ func (s *Steady) DeltaInfo() DeltaDiag {
 	return d
 }
 
-// DeltaTraceBegin arms trace capture: the next sweep fed through the
-// engine (normally the warm sweep) is traced phase by phase, replacing
-// any earlier trace. Tracing forces the engine to record even
-// budget-refused and pin-less phases, so the trace can be complete for
-// streams whose phases the steady machinery would otherwise replay
-// without recording.
-func (s *Steady) DeltaTraceBegin() {
-	s.dl.tracing = true
-	s.dl.ok = true
-	s.dl.starts = 0
-	s.dl.recs = nil
-	s.dl.traced = false
-	s.dl.stale = false
-	s.dl.repOK = false
-}
-
-// DeltaTraceEnd disarms capture and reports whether a complete trace
-// was obtained: the engine must be idle (no phase in flight), and every
-// phase begun while tracing must have archived its record. Phases that
-// ended without archiving (live-mode abort, over-long units) leave
-// starts > len(recs) and fail the reconciliation.
-func (s *Steady) DeltaTraceEnd() bool {
+// recordSweep walks the warm-up sweep through the engine, keeping a
+// record of every phase whose markers are regular. The records stand
+// only if the sweep ended between phases.
+func (s *Steady) recordSweep(sweep func(RunSink)) {
 	d := &s.dl
-	d.tracing = false
-	d.traced = d.ok && s.mode == steadyIdle && d.starts > 0 && d.starts == len(d.recs)
-	d.diag.Traced = d.traced
-	return d.traced
-}
-
-// archivePhase appends the completed phase's record to the trace.
-// beginPhase has already failed a trace with more than steadyHistory
-// phases, so the trace stays within that bound.
-func (s *Steady) archivePhase() {
-	r := steadyPhase{
-		delta:    s.delta,
-		planes:   s.planes,
-		anchors:  append([]int(nil), s.curAnchors...),
-		deltas:   s.curDeltas,
-		pins:     s.curPins,
-		endTags:  make([][]int64, len(s.levels)),
-		endDirty: make([][]bool, len(s.levels)),
-		endStamp: make([][]uint64, len(s.levels)),
-	}
-	s.curDeltas, s.curPins = nil, nil
-	for i, c := range s.levels {
-		r.endTags[i] = append([]int64(nil), c.tags...)
-		r.endDirty[i] = append([]bool(nil), c.dirty...)
-		if c.stamp != nil {
-			r.endStamp[i] = append([]uint64(nil), c.stamp...)
+	d.recording, d.recs = true, nil
+	sweep(s)
+	d.recording, d.cur, d.traced = false, nil, false
+	if s.mode == steadyIdle {
+		for _, r := range d.recs {
+			d.traced = d.traced || r != nil
 		}
 	}
-	s.dl.recs = append(s.dl.recs, r)
+	if !d.traced {
+		d.recs = nil
+	}
+}
+
+// beginRecord opens the record of a phase starting in the warm-up.
+func (s *Steady) beginRecord() {
+	d := &s.dl
+	d.cur = nil
+	if !d.recording {
+		return
+	}
+	d.cur = &steadyPhase{total: make([]Stats, len(s.levels))}
+	for li, c := range s.levels {
+		d.cur.total[li] = c.stats
+	}
+	d.recs = append(d.recs, nil)
+}
+
+// archivePhase completes the record of a phase that ended with every
+// marker regular.
+func (s *Steady) archivePhase() {
+	r := s.dl.cur
+	s.dl.cur = nil
+	r.delta, r.planes, r.level = s.delta, s.planes, s.level
+	r.endTags = make([][]int64, len(s.levels))
+	r.endDirty = make([][]bool, len(s.levels))
+	r.endStamp = make([][]uint64, len(s.levels))
+	for li, c := range s.levels {
+		r.total[li] = subStats(c.stats, r.total[li])
+		for i := range r.pins {
+			r.pins[i].rest[li] = subStats(c.stats, r.pins[i].rest[li])
+		}
+		r.endTags[li] = append([]int64(nil), c.tags...)
+		r.endDirty[li] = append([]bool(nil), c.dirty...)
+		if c.stamp != nil {
+			r.endStamp[li] = append([]uint64(nil), c.stamp...)
+		}
+	}
+	s.dl.recs[len(s.dl.recs)-1] = r
 }
 
 // deltaPinBudget caps the state encodes spent hunting a pin within one
-// sweep replay: after this many consecutive misses the replay stops
-// comparing and relies on full phase replays plus end-state chaining.
-// It resets on the first hit (chaining makes later compares free).
+// measured sweep: after this many consecutive misses the sweep stops
+// comparing and relies on simulating whole phases plus end-state
+// chaining. It resets on the first hit (chaining makes later compares
+// free).
 const deltaPinBudget = 64
 
-// ReplayDeltaSweep reproduces one whole sweep from the traced records,
-// or returns false having changed nothing (the caller must then replay
-// the sweep through the workload as usual). Callable only between
-// sweeps (engine idle) after a successful DeltaTraceEnd.
-func (s *Steady) ReplayDeltaSweep() bool {
+// measureSweep walks one measured sweep through the engine, serving
+// each phase from its record, and reports whether the sweep ended
+// chained. Without records the sweep is simply walked.
+func (s *Steady) measureSweep(sweep func(RunSink)) bool {
 	d := &s.dl
-	if !d.traced || s.mode != steadyIdle {
+	if !d.traced {
+		sweep(s)
 		return false
 	}
-	if d.stale {
+	d.measuring, d.ord, d.chained, d.budget = true, 0, false, deltaPinBudget
+	sweep(s)
+	d.measuring = false
+	if s.mode != steadyIdle || d.ord != len(d.recs) {
+		panic(fmt.Sprintf("cache: measured sweep diverged from its warm-up: it stopped after beginning %d of %d phases",
+			d.ord, len(d.recs)))
+	}
+	d.diag.Sweeps++
+	return d.chained
+}
+
+// enterRecord starts a phase of a measured sweep. It reports false when
+// the warm-up kept no record of the phase, which then runs through
+// detection like any other; otherwise the phase commits whole if the
+// sweep is chained, or hunts the record's pins.
+func (s *Steady) enterRecord() bool {
+	d := &s.dl
+	if d.ord >= len(d.recs) {
+		panic(fmt.Sprintf("cache: measured sweep diverged from its warm-up: it began phase %d of %d", d.ord, len(d.recs)))
+	}
+	r := d.recs[d.ord]
+	d.ord++
+	if r == nil {
 		d.diag.Fallbacks++
 		return false
 	}
-	if d.repOK {
-		s.encodeCurrent()
-		d.diag.PinCompares++
-		if encEq(s.encScratch, d.repEnc) {
-			for li, c := range s.levels {
-				c.stats.Add(d.repTot[li])
-				copy(c.tags, d.repTags[li])
-				copy(c.dirty, d.repDirty[li])
-				if c.stamp != nil {
-					copy(c.stamp, d.repStamp[li])
-				}
-			}
-			d.diag.Sweeps++
-			d.diag.Instant++
-			s.skipTraced()
-			return true
-		}
+	d.cur = r
+	s.unit, s.delta, s.planes, s.level = 0, r.delta, r.planes, r.level
+	if !d.chained {
+		s.mode = steadyHunt
+		return true
 	}
-	// Capture the entry state and stats so a full replay can populate
-	// the instant-repeat cache (and so the accounting below is relative).
-	s.encodeCurrent()
-	if d.repEnc == nil {
-		d.repEnc = make([][]int64, len(s.levels))
-	}
-	for li := range s.levels {
-		d.repEnc[li] = append(d.repEnc[li][:0], s.encScratch[li]...)
-	}
-	if d.repTot == nil {
-		d.repTot = make([]Stats, len(s.levels))
-	}
-	for li, c := range s.levels {
-		d.repTot[li] = c.stats
-	}
-	d.repOK = false
-
-	chained := false
-	budget := deltaPinBudget
-	for i := range d.recs {
-		r := &d.recs[i]
-		if chained {
-			// The live state equals the state the traced sweep entered
-			// this phase with, which the record was measured from.
-			s.deltaCommitFrom(r, -1)
-			d.diag.PhasesCommitted++
-			d.diag.PhasesChained++
-			d.diag.UnitsSkipped += uint64(r.planes)
-			continue
-		}
-		hit := -1
-		for u := 0; u < r.planes; u++ {
-			a := &s.anchors[r.anchors[u]]
-			s.replayShifted(a.runs, int64(u-a.unit)*r.delta)
-			d.diag.UnitsReplayed++
-			if u >= r.planes-1 {
-				break
-			}
-			if pin := phasePinAt(r, u); pin != nil && budget > 0 {
-				s.encodeCurrent()
-				d.diag.PinCompares++
-				if encEq(s.encScratch, pin.data) {
-					hit = u
-					budget = deltaPinBudget
-					break
-				}
-				budget--
-			}
-		}
-		if hit >= 0 {
-			s.deltaCommitFrom(r, hit)
-			chained = true
-			d.diag.PhasesCommitted++
-			d.diag.UnitsSkipped += uint64(r.planes - 1 - hit)
-		} else {
-			// The phase replayed in full; if it happened to land exactly
-			// on the record's end state, later phases chain anyway.
-			d.diag.PhasesReplayed++
-			chained = s.deltaEndStateEq(r)
-		}
-	}
-	s.skipTraced()
-	d.diag.Sweeps++
-	if chained {
-		// Fixed point: the sweep ended in the recorded end state, which
-		// is also the state it started from on the traced run's repeat —
-		// so the entry capture above plus the totals below make the next
-		// identical sweep a single compare.
-		for li, c := range s.levels {
-			d.repTot[li] = subStats(c.stats, d.repTot[li])
-		}
-		if d.repTags == nil {
-			d.repTags = make([][]int64, len(s.levels))
-			d.repDirty = make([][]bool, len(s.levels))
-			d.repStamp = make([][]uint64, len(s.levels))
-		}
-		for li, c := range s.levels {
-			d.repTags[li] = append(d.repTags[li][:0], c.tags...)
-			d.repDirty[li] = append(d.repDirty[li][:0], c.dirty...)
-			d.repStamp[li] = d.repStamp[li][:0]
-			if c.stamp != nil {
-				d.repStamp[li] = append(d.repStamp[li], c.stamp...)
-			}
-		}
-		d.repOK = true
-	}
+	// The live state equals the state the warm-up entered this phase
+	// with, which the record was measured from.
+	s.commitRecord(r, r.total)
+	d.diag.PhasesCommitted++
+	d.diag.PhasesChained++
+	d.diag.UnitsSkipped += uint64(r.planes)
+	s.mode = steadyDrain
 	return true
 }
 
-// skipTraced accounts a delta-replayed sweep as skipped walker units
-// (the anchors were replayed by the engine, not the walker).
-func (s *Steady) skipTraced() {
-	for i := range s.dl.recs {
-		s.skipped += uint64(s.dl.recs[i].planes)
+// huntMark closes a simulated unit of a recorded phase. Where the live
+// state equals the record's pin, the rest of the phase commits from the
+// record.
+func (s *Steady) huntMark(mk PlaneMark) {
+	d := &s.dl
+	r := d.cur
+	if !s.regular(mk) {
+		s.diverged(mk)
 	}
-}
-
-// phasePinAt returns record r's pin at unit u, if any.
-func phasePinAt(r *steadyPhase, u int) *steadyPin {
-	for i := range r.pins {
-		if r.pins[i].unit == u {
-			return &r.pins[i]
+	d.diag.UnitsReplayed++
+	if s.unit == r.planes-1 {
+		// Simulated in full; if it landed exactly on the record's end
+		// state, later phases chain anyway.
+		d.diag.PhasesReplayed++
+		d.chained = s.deltaEndStateEq(r)
+		s.mode = steadyIdle
+		return
+	}
+	if pin := r.pinAt(s.unit); pin != nil && d.budget > 0 {
+		s.encodeCurrent()
+		d.diag.PinCompares++
+		if encEq(s.encScratch, pin.data) {
+			d.budget = deltaPinBudget
+			s.commitRecord(r, pin.rest)
+			d.chained = true
+			d.diag.PhasesCommitted++
+			d.diag.UnitsSkipped += uint64(r.planes - 1 - s.unit)
+			s.mode = steadyDrain
+		} else {
+			d.budget--
 		}
 	}
-	return nil
+	s.unit++
 }
 
-// deltaCommitFrom adds the recorded per-unit stats deltas of units
-// from+1..planes-1 (all units when from < 0) and restores the record's
-// raw end state. The stream identity that makes this exact is
-// established by the workload's determinism, enforced differentially in
-// tests.
-func (s *Steady) deltaCommitFrom(r *steadyPhase, from int) {
-	for u := from + 1; u < r.planes; u++ {
-		for li, dd := range r.deltas[u] {
-			c := s.levels[li]
-			c.stats.Add(dd)
-		}
+// drainMark checks a marker of a committed phase against its record; an
+// emitter that skipped the rest jumps straight to the closing one.
+func (s *Steady) drainMark(mk PlaneMark) {
+	if !s.sameShape(mk) || mk.Index != s.unit && mk.Index != s.planes-1 {
+		s.diverged(mk)
 	}
+	if mk.Index == s.planes-1 {
+		s.mode = steadyIdle
+		return
+	}
+	s.unit++
+}
+
+func (s *Steady) diverged(mk PlaneMark) {
+	panic(fmt.Sprintf("cache: measured sweep diverged from its warm-up in phase %d: marker %+v, expected unit %d of %d, Δ=%d, level %d",
+		s.dl.ord-1, mk, s.unit, s.planes, s.delta, s.level))
+}
+
+// commitRecord adds stats to the levels and restores record r's raw end
+// state.
+func (s *Steady) commitRecord(r *steadyPhase, stats []Stats) {
 	for li, c := range s.levels {
+		c.stats.Add(stats[li])
 		copy(c.tags, r.endTags[li])
 		copy(c.dirty, r.endDirty[li])
-		if c.stamp != nil && len(r.endStamp[li]) == len(c.stamp) {
-			copy(c.stamp, r.endStamp[li])
-		}
+		copy(c.stamp, r.endStamp[li])
 	}
 }
 
@@ -349,6 +326,12 @@ func (ls levelSink) PlaneMark(m PlaneMark) {
 	MarkPlane(ls.RunSink, m)
 }
 
+// SkipRest forwards the wrapped sink's answer (PhaseSkipper).
+func (ls levelSink) SkipRest() bool {
+	ps, ok := ls.RunSink.(PhaseSkipper)
+	return ok && ps.SkipRest()
+}
+
 // WithLevel wraps a sink so every marker emitted through the wrapper
 // carries the given phase level. Wrapping a sink that does not
 // understand markers is harmless (markers stay dropped).
@@ -357,6 +340,7 @@ func WithLevel(sink RunSink, level int) RunSink {
 }
 
 var (
-	_ RunSink   = levelSink{}
-	_ PlaneSink = levelSink{}
+	_ RunSink      = levelSink{}
+	_ PlaneSink    = levelSink{}
+	_ PhaseSkipper = levelSink{}
 )

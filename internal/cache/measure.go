@@ -8,13 +8,12 @@ package cache
 // stream.
 //
 // With sd nil every sweep replays straight into h. Otherwise sd must
-// wrap h: the warm-up goes through the engine and is traced, and each
-// measured sweep is reproduced from the trace by ReplayDeltaSweep,
-// walking the workload through the engine only when the replay refuses.
-// The engine commits every skip at its own phase's last marker, so at
-// each sweep end — where the trace closes and the statistics reset —
-// and on return, h's statistics and state equal a raw replay of the
-// same sweeps.
+// wrap h: the warm-up goes through the engine, which records its
+// phases, and every measured sweep walks the workload through the
+// engine, which serves it from those records (delta.go). The engine
+// commits every skip at its own phase's last marker, so at each sweep
+// end — where the statistics reset — and on return, h's statistics and
+// state equal a raw replay of the same sweeps.
 func WarmMeasure(h *Hierarchy, sd *Steady, sweeps int, sweep func(RunSink)) {
 	if sd == nil {
 		sweep(h)
@@ -24,14 +23,23 @@ func WarmMeasure(h *Hierarchy, sd *Steady, sweeps int, sweep func(RunSink)) {
 		}
 		return
 	}
-	sd.DeltaTraceBegin()
-	sweep(sd)
-	traced := sd.DeltaTraceEnd()
+	sd.recordSweep(sweep)
 	h.ResetStats()
 	for i := 0; i < sweeps; i++ {
-		if traced && sd.ReplayDeltaSweep() {
+		if chained := sd.measureSweep(sweep); i > 0 || !chained {
 			continue
 		}
-		sweep(sd)
+		// The first measured sweep ended chained: in the warm-up's end
+		// state, which is the state it began from. Every later sweep
+		// repeats it, and the statistics, reset before it, are its own.
+		for _, c := range h.levels {
+			one := c.stats
+			for j := 1; j < sweeps; j++ {
+				c.stats.Add(one)
+			}
+		}
+		sd.dl.diag.Sweeps += uint64(sweeps - 1)
+		sd.dl.diag.Instant += uint64(sweeps - 1)
+		return
 	}
 }

@@ -5,15 +5,6 @@ import (
 	"testing"
 )
 
-// emitPhase replays one synthetic phase into a sink: planes units,
-// unit i's stream produced by unitRuns(i), each followed by its marker.
-func emitPhase(sink RunSink, planes int, delta int64, unitRuns func(i int) []Run) {
-	for i := 0; i < planes; i++ {
-		sink.ReplayRuns(unitRuns(i))
-		MarkPlane(sink, PlaneMark{Delta: delta, Index: i, Planes: planes})
-	}
-}
-
 // readUnit builds a unit stream of `repeat` sequential read passes over
 // `lines` cache lines starting at base (stride 8, the element size).
 func readUnit(base int64, lines, repeat int) []Run {
@@ -25,14 +16,14 @@ func readUnit(base int64, lines, repeat int) []Run {
 }
 
 // refusedSweep emits one synthetic "sweep": two 2-plane phases over
-// disjoint regions. The per-phase engine refuses 2-plane phases for
-// plane-cycle detection, so their repeats are reproduced, if at all,
-// only from phase records.
+// disjoint regions. The engine refuses 2-plane phases for plane-cycle
+// detection, so their repeats are reproduced, if at all, only from
+// phase records.
 func refusedSweep(sink RunSink) {
-	emitPhase(sink, 2, 32, func(i int) []Run {
+	emitUnits(sink, 2, 32, 0, func(i int) []Run {
 		return readUnit(int64(i)*32, 8, 4)
 	})
-	emitPhase(sink, 2, 32, func(i int) []Run {
+	emitUnits(sink, 2, 32, 0, func(i int) []Run {
 		return readUnit(4096+int64(i)*32, 8, 4)
 	})
 }
@@ -42,7 +33,7 @@ func refusedSweep(sink RunSink) {
 // one line. Its units are far too small for the default budget gate to
 // afford whole-state snapshots, so detection refuses it.
 func scopedPhase(sink RunSink) {
-	emitPhase(sink, 48, 32, func(i int) []Run {
+	emitUnits(sink, 48, 32, 0, func(i int) []Run {
 		return readUnit(int64(i)*32, 8, 16)
 	})
 }
@@ -85,8 +76,8 @@ func TestSteadySelfCheckSettles(t *testing.T) {
 
 // TestSteadyWarmMeasure: the warm-measure driver must leave statistics
 // and state equal to the raw protocol — warm-up, reset, measured sweeps
-// — with the engine off and on. The streams cover a trace that replays
-// (deltaSweep), phases that repeat across sweep boundaries (echoCycle),
+// — with the engine off and on. The streams cover phases measured from
+// their records (deltaSweep), phases that repeat across sweep boundaries (echoCycle),
 // phases plane-cycle detection refuses for too few planes
 // (refusedSweep) and for too little work per unit (scopedPhase).
 func TestSteadyWarmMeasure(t *testing.T) {
@@ -125,12 +116,12 @@ func TestSteadyWarmMeasure(t *testing.T) {
 	}
 }
 
-// TestSweepEchoRefusedPhases drives repeated identical sweeps of
+// TestSteadyRefusedPhasesRepeat drives repeated identical sweeps of
 // refused phases through a single steady-wrapped cache — one warm-up
-// sweep, a stats reset, then measured sweeps, as the bench harness
-// does — and checks that statistics and final state stay exactly equal
-// to a raw replay while no 2-plane phase confirms a cycle.
-func TestSweepEchoRefusedPhases(t *testing.T) {
+// sweep, a stats reset, then measured sweeps — and checks that
+// statistics and final state stay exactly equal to a raw replay while
+// no 2-plane phase confirms a cycle.
+func TestSteadyRefusedPhasesRepeat(t *testing.T) {
 	cfg := Config{SizeBytes: 1024, LineBytes: 32, Assoc: 1} // 32 sets
 	const sweeps = 6
 
@@ -160,12 +151,11 @@ func TestSweepEchoRefusedPhases(t *testing.T) {
 	}
 }
 
-// TestSteadyFootprintRescue checks the budget gate end to end on a
+// TestSteadyBudgetGateRefuses checks the budget gate end to end on a
 // 512-set L1: scopedPhase's whole-state snapshot costs 512 slots, more
-// than twice its 512 accesses per unit can amortize. The engine has no
-// footprint scoping to rescue such a phase, so the gate must refuse it,
-// and the result must stay bit-identical to a raw replay.
-func TestSteadyFootprintRescue(t *testing.T) {
+// than twice its 512 accesses per unit can amortize, so the gate must
+// refuse it, and the result must stay bit-identical to a raw replay.
+func TestSteadyBudgetGateRefuses(t *testing.T) {
 	cfg := Config{SizeBytes: 16 << 10, LineBytes: 32, Assoc: 1} // 512 sets
 	raw := MustNew(cfg)
 	scopedPhase(raw)

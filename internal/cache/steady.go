@@ -38,11 +38,12 @@ import "fmt"
 //             the engine falls back to live replay.
 //   live      plain replay until the phase ends.
 //
-// While the delta layer traces a sweep (delta.go) the engine also
-// assembles a complete record of every phase it sees: the anchor and
-// stats delta of every unit, a few "pins" — order-normalized copies of
-// the cache state at chosen unit boundaries — and the raw end state.
-// Outside a trace no phase record is kept.
+// While WarmMeasure's warm-up sweep runs through the engine (delta.go),
+// it also keeps a record of every phase whose markers are regular: a few
+// "pins" — order-normalized copies of the cache state at chosen unit
+// boundaries, each with the statistics the rest of the phase added — the
+// phase total and the raw end state. Records hold no copy of the stream.
+// Outside the warm-up no phase record is kept.
 //
 // Exactness argument: the full normalized state comparison establishes
 // S_q == translate(S_p, TΔ) for p = q-T, and the per-batch verification
@@ -83,6 +84,15 @@ type PlaneSink interface {
 	PlaneMark(m PlaneMark)
 }
 
+// PhaseSkipper is implemented by plane sinks that can decline the rest
+// of a phase. An emitter asks after each phase marker but the closing
+// one; when SkipRest reports true it emits only the phase's closing
+// marker (Index == Planes-1) and none of the remaining units' runs.
+// Sinks without the method receive the whole stream.
+type PhaseSkipper interface {
+	SkipRest() bool
+}
+
 // MarkPlane delivers a plane marker to sinks that understand them and is
 // a no-op for every other sink, so walkers can emit markers
 // unconditionally.
@@ -95,26 +105,29 @@ func MarkPlane(sink RunSink, m PlaneMark) {
 type steadyMode int
 
 const (
-	steadyIdle steadyMode = iota
-	steadyObserve
-	steadySkip
-	steadyLive
+	steadyIdle    steadyMode = iota
+	steadyObserve            // detection: replay, record patterns, snapshot
+	steadySkip               // a confirmed cycle: verify batches, commit periods
+	steadyLive               // plain replay to the phase end
+	steadyHunt               // measured sweep, recorded phase: replay until a pin matches
+	steadyDrain              // measured sweep, committed phase: drop the rest
 )
 
-// steadyAnchor is one distinct unit pattern, stored with absolute
-// addresses. Units whose streams are translates of an anchor reference
-// it instead of storing their runs, so a phase keeps one copy per
-// distinct pattern shape (untiled sweeps have one, red-black two, tiled
-// sweeps one plus clamped boundary shapes) no matter how many units it
-// observes. Two units have translate-equal patterns iff they reference
-// the same anchor: a unit only becomes a new anchor when it matches no
-// existing one, so distinct anchors are never translates of each other.
+// steadyAnchor is one distinct unit pattern of the current phase,
+// stored with absolute addresses. Units whose streams are translates of
+// an anchor reference it instead of storing their runs, so a phase keeps
+// one copy per distinct pattern shape (untiled sweeps have one,
+// red-black two, tiled sweeps one plus clamped boundary shapes) no
+// matter how many units it observes. Two units have translate-equal
+// patterns iff they reference the same anchor: a unit only becomes a new
+// anchor when it matches no existing one, so distinct anchors are never
+// translates of each other.
 type steadyAnchor struct {
 	unit int
 	runs []Run
 }
 
-// steadyPat is one recorded phase unit: the anchor its runs are a
+// steadyPat is one observed phase unit: the anchor its runs are a
 // translate of and its per-level stats delta.
 type steadyPat struct {
 	unit   int
@@ -136,30 +149,13 @@ type steadySnap struct {
 }
 
 // steadyPin is an order-normalized encoding of the full cache state at
-// the end of one phase unit (encodeLevel with zero translation). Pins
-// are what a delta replay compares its live state against to commit the
-// rest of a phase from the record.
+// the end of one phase unit (encodeLevel with zero translation) and the
+// per-level statistics the rest of its phase added. A measured sweep
+// whose live state equals a pin commits the rest of the phase from it.
 type steadyPin struct {
 	unit int
 	data [][]int64
-}
-
-// steadyPhase is the complete record of one traced phase: per-unit
-// anchors and stats deltas, plus state pins. Anchor indices refer to the
-// engine-lifetime anchor table.
-type steadyPhase struct {
-	delta   int64
-	planes  int
-	anchors []int
-	deltas  [][]Stats
-	pins    []steadyPin
-	// The raw state at the end of the recorded phase. A replay that
-	// matches a pin repeats the recorded stream from there on, so it ends
-	// in exactly this state (stamp values are stale but their order — all
-	// that affects behavior — is preserved).
-	endTags  [][]int64
-	endDirty [][]bool
-	endStamp [][]uint64
+	rest []Stats
 }
 
 // Steady is the steady-state engine: a PlaneSink that wraps a Hierarchy,
@@ -176,13 +172,12 @@ type Steady struct {
 	// disables the gate.
 	MinUnitAccesses int64
 
-	mode    steadyMode
-	unit    int
-	delta   int64
-	planes  int
-	level   int
-	t0      int
-	aViable bool // plane-cycle detection possible for this phase
+	mode   steadyMode
+	unit   int
+	delta  int64
+	planes int
+	level  int
+	t0     int
 	// pinsOK gates the O(slots) pins, which per-tile phases cannot
 	// amortize.
 	pinsOK bool
@@ -192,21 +187,16 @@ type Steady struct {
 	started  bool
 	baseline []Stats
 
-	recording bool
-	curPat    []Run
-	curAcc    int64
+	curPat []Run
+	curAcc int64
 
+	// Detection scratch of the current phase: the unit ring, the
+	// snapshots and the anchors the ring refers to.
 	ring     []steadyPat
 	snaps    []steadySnap
 	anchors  []steadyAnchor
 	nAnchors int
 
-	// The record being assembled for the current phase while tracing;
-	// curRecOK is false when the phase is not recorded.
-	curAnchors []int
-	curDeltas  [][]Stats
-	curPins    []steadyPin
-	curRecOK   bool
 	encScratch [][]int64
 
 	period       int
@@ -223,9 +213,8 @@ type Steady struct {
 	scratchStamp []uint64
 	wayStamp     []uint64
 
-	// dl is the delta layer (delta.go): while tracing it keeps the
-	// record of every phase of a warm sweep, so later identical sweeps
-	// replay from the records instead of the walker.
+	// dl is the delta layer (delta.go): it records the phases of the
+	// warm-up sweep and serves measured sweeps from those records.
 	dl deltaState
 
 	skipped uint64
@@ -239,25 +228,10 @@ type Steady struct {
 // under the cap.
 const maxUnitRuns = 4 << 20
 
-// steadyHistory bounds the phases of one delta trace, one record each.
-// The paper's single-grid sweeps have one or two phases; a multigrid
-// iteration of depth LM has 5·LM−3: rprj3, interp and the residual on
-// levels 2..LM, psinv on levels 1..LM, the zero fill on levels 1..LM−1
-// and the finest residual once more after the V-cycle — 32 at the
-// reference LM=7 and 47 at LM=10. A longer trace fails and its
-// measured sweeps are walked.
-const steadyHistory = 48
-
-// maxSteadyAnchors bounds the engine-lifetime anchor table. Anchors are
-// deduplicated across phases (a repeated phase re-matches its
-// predecessor's anchors), so the table stays at the number of distinct
-// unit shapes: a handful for the single-grid walkers. A Δ=0 phase
-// cannot deduplicate — each of its units is its own anchor — and the
-// V-cycle's rprj3 and interp phases are Δ=0 with one unit per coarse
-// plane, 2^(l−1) and 2^(l−1)+1 units on level l: 2^(LM+1)+LM−5 anchors
-// over levels 2..LM (258 at LM=7), plus one per fill and a few per
-// translating phase. 1024 holds a whole V-cycle's anchors through LM=8
-// (about 550); deeper cycles recycle the table and replay in full.
+// maxSteadyAnchors bounds the distinct unit patterns one phase keeps for
+// detection. A translating phase has a handful (its boundary shapes); a
+// phase with more stops detection and replays live rather than keep a
+// copy of every unit.
 const maxSteadyAnchors = 1024
 
 // maxPeriod caps the detectable cycle period (in phase units); it also
@@ -337,101 +311,101 @@ func (s *Steady) Diag() SteadyDiag {
 // skipped by cycle extrapolation.
 func (s *Steady) SkippedPlanes() uint64 { return s.skipped }
 
-// Cycles returns the number of confirmed steady-state cycles.
-func (s *Steady) Cycles() uint64 { return s.cycles }
-
 // ReplayRuns feeds one batch through the engine.
 func (s *Steady) ReplayRuns(runs []Run) {
-	switch s.mode {
-	case steadyIdle:
+	if s.mode == steadyIdle {
 		s.beginPhase()
-		fallthrough
+	}
+	switch s.mode {
 	case steadyObserve:
 		s.ensureBaseline()
 		s.replay(runs)
-		if s.recording {
-			n := len(s.curPat) + len(runs)
-			if n > maxUnitRuns {
-				s.dropRecording()
-			} else {
-				if n > cap(s.curPat) {
-					// Grow by doubling: unit patterns reach hundreds of
-					// thousands of runs, where the runtime's shallow growth
-					// curve would copy the buffer several times over.
-					nc := 2 * cap(s.curPat)
-					if nc < n {
-						nc = n
-					}
-					if nc < 4096 {
-						nc = 4096
-					}
-					np := make([]Run, len(s.curPat), nc)
-					copy(np, s.curPat)
-					s.curPat = np
-				}
-				s.curPat = append(s.curPat, runs...)
-				for _, r := range runs {
-					if r.Count > 0 {
-						s.curAcc += int64(r.Count)
-					}
-				}
+		n := len(s.curPat) + len(runs)
+		if n > maxUnitRuns {
+			// Too long to pattern-match: the rest of the phase replays
+			// live, unrecorded, since this may be its first unit, whose
+			// marker latches the shape the record is checked against.
+			s.dl.cur = nil
+			s.curPat = s.curPat[:0]
+			s.mode = steadyLive
+			return
+		}
+		if n > cap(s.curPat) {
+			// Grow by doubling: unit patterns reach hundreds of
+			// thousands of runs, where the runtime's shallow growth
+			// curve would copy the buffer several times over.
+			nc := 2 * cap(s.curPat)
+			if nc < n {
+				nc = n
+			}
+			if nc < 4096 {
+				nc = 4096
+			}
+			np := make([]Run, len(s.curPat), nc)
+			copy(np, s.curPat)
+			s.curPat = np
+		}
+		s.curPat = append(s.curPat, runs...)
+		for _, r := range runs {
+			if r.Count > 0 {
+				s.curAcc += int64(r.Count)
 			}
 		}
 	case steadySkip:
 		s.verifyBatch(runs)
-	case steadyLive:
+	case steadyLive, steadyHunt:
 		s.replay(runs)
 	}
+	// steadyDrain: the phase is committed; its remaining runs are in the
+	// record.
 }
 
 // PlaneMark processes a phase marker. Every skip commits at its own
 // phase's last marker, so between phases the wrapped levels'
 // statistics and state are always up to date.
 func (s *Steady) PlaneMark(mk PlaneMark) {
-	switch s.mode {
-	case steadyIdle:
+	if s.mode == steadyIdle {
 		// A unit can be empty (no batches before its marker); start the
 		// phase so indices stay aligned.
 		s.beginPhase()
-		s.observeMark(mk)
+	}
+	switch s.mode {
 	case steadyObserve:
 		s.observeMark(mk)
 	case steadySkip:
 		s.skipMark(mk)
 	case steadyLive:
-		if mk.Index >= mk.Planes-1 {
-			s.mode = steadyIdle
-		}
+		s.liveMark(mk)
+	case steadyHunt:
+		s.huntMark(mk)
+	case steadyDrain:
+		s.drainMark(mk)
 	}
 }
+
+// SkipRest reports that the current phase is committed from its record,
+// so an emitter may skip to its closing marker (PhaseSkipper).
+func (s *Steady) SkipRest() bool { return s.mode == steadyDrain }
 
 func (s *Steady) replay(runs []Run) {
 	s.raw.ReplayRuns(runs)
 }
 
 func (s *Steady) beginPhase() {
-	s.mode = steadyObserve
-	s.aViable = false
-	s.unit = 0
-	s.level = 0
-	if s.dl.tracing {
-		s.dl.starts++
-		if s.dl.starts > steadyHistory {
-			s.dl.ok = false
-		}
+	if s.dl.measuring && s.enterRecord() {
+		return
 	}
+	s.mode = steadyObserve
+	s.unit = 0
 	s.started = false
-	s.recording = true
 	s.curPat = s.curPat[:0]
 	s.curAcc = 0
+	s.nAnchors = 0
 	s.commits = 0
 	s.verified = 0
 	s.cursor = 0
-	s.curAnchors = s.curAnchors[:0]
-	s.curDeltas = s.curDeltas[:0]
-	s.curPins = s.curPins[:0]
-	s.curRecOK = s.dl.tracing && s.dl.ok
 	s.pinsOK = true
+	s.beginRecord()
 }
 
 func (s *Steady) ensureBaseline() {
@@ -444,25 +418,39 @@ func (s *Steady) ensureBaseline() {
 	s.started = true
 }
 
-// dropRecording abandons pattern recording and detection for the phase;
-// everything was already replayed, so live mode is exact.
-func (s *Steady) dropRecording() {
-	s.recording = false
-	s.curRecOK = false
-	s.curPat = s.curPat[:0]
-	s.mode = steadyLive
+// regular reports whether a marker continues the current phase: the
+// next unit, of the latched shape.
+func (s *Steady) regular(mk PlaneMark) bool {
+	return mk.Index == s.unit && s.sameShape(mk)
 }
 
-// toLive abandons detection at a marker boundary.
+func (s *Steady) sameShape(mk PlaneMark) bool {
+	return mk.Delta == s.delta && mk.Planes == s.planes && mk.Level == s.level
+}
+
+// toLive ends detection at a marker boundary and closes the unit as a
+// live one.
 func (s *Steady) toLive(mk PlaneMark) {
-	s.recording = false
-	s.curRecOK = false
 	s.curPat = s.curPat[:0]
+	s.mode = steadyLive
+	s.liveMark(mk)
+}
+
+// liveMark closes a unit replayed without detection. A phase still being
+// recorded keeps its marker check and its pins.
+func (s *Steady) liveMark(mk PlaneMark) {
+	if s.dl.cur != nil {
+		if s.regular(mk) {
+			s.capturePin()
+		} else {
+			s.dl.cur = nil
+		}
+	}
 	if mk.Index >= mk.Planes-1 {
-		s.mode = steadyIdle
+		s.endPhase()
 		return
 	}
-	s.mode = steadyLive
+	s.unit++
 }
 
 func (s *Steady) observeMark(mk PlaneMark) {
@@ -472,29 +460,19 @@ func (s *Steady) observeMark(mk PlaneMark) {
 			s.toLive(mk)
 			return
 		}
-	} else if mk.Index != s.unit || mk.Delta != s.delta || mk.Planes != s.planes || mk.Level != s.level {
+	} else if !s.regular(mk) {
 		s.toLive(mk)
 		return
 	}
-	if !s.recording {
-		// Post-skip remainder with a dead record: plain replay with
-		// marker bookkeeping only.
-		if mk.Index >= s.planes-1 {
-			s.endPhase()
-			return
-		}
-		s.unit++
-		s.started = false
+	if !s.finishUnit() {
+		s.toLive(mk)
 		return
 	}
-	s.finishUnit()
-	if s.mode == steadyObserve {
-		s.capturePin()
-		if s.aViable && s.unit%s.t0 == 0 {
-			s.takeSnapshot()
-			if T, ok := s.findCycle(); ok {
-				s.confirmCycle(T)
-			}
+	s.capturePin()
+	if s.unit%s.t0 == 0 {
+		s.takeSnapshot()
+		if T, ok := s.findCycle(); ok {
+			s.confirmCycle(T)
 		}
 	}
 	if mk.Index >= s.planes-1 {
@@ -503,40 +481,29 @@ func (s *Steady) observeMark(mk PlaneMark) {
 	}
 	s.unit++
 	s.started = false
-	if s.mode == steadyObserve && s.recording {
+	if s.mode == steadyObserve {
 		s.curPat = s.curPat[:0]
 		s.curAcc = 0
 	}
 }
 
-// phaseViable decides, at the first marker, whether detection is worth
-// attempting for this phase: plane-cycle detection (aViable) needs the
-// translation alignment t0 to fit and enough planes to amortize it;
-// while tracing, phases that fail that are still recorded for the
-// trace.
+// phaseViable decides, at the first marker, whether plane-cycle
+// detection is worth attempting for this phase — it needs the
+// translation alignment t0 to fit and enough planes and work to amortize
+// it — counting the cause when it is not, and whether the phase's record
+// pins.
 func (s *Steady) phaseViable() bool {
 	s.diag.Phases++
-	// A phase with no uniform translation (Δ <= 0: mismatched strides,
-	// restriction/prolongation, fills) or fewer than two units cannot
-	// carry plane-cycle detection. It can still be *recorded* — each unit
-	// anchored verbatim — which the delta layer needs for a complete
-	// sweep trace, so while tracing such phases proceed with detection
-	// permanently off (unsteady below).
-	unsteady := s.delta <= 0 || s.planes < 2
-	if !s.recording || (unsteady && !s.curRecOK) {
+	// Pins cost O(slots) each; a phase whose total work cannot amortize
+	// that (per-tile phases against a large L2) skips them, and its
+	// measured sweeps lean on end-state chaining alone.
+	s.pinsOK = s.curAcc*int64(s.planes) >= int64(s.slots)*16
+	if s.delta <= 0 || s.planes < 2 {
+		// No uniform translation (mismatched strides,
+		// restriction/prolongation, fills) or a single unit.
 		s.diag.RefusedDelta++
+		s.pinsOK = s.pinsOK && s.planes >= 3
 		return false
-	}
-	if unsteady {
-		s.diag.RefusedDelta++
-		s.t0 = 1
-		s.aViable = false
-		s.pinsOK = s.planes >= 3 && s.curAcc*int64(s.planes) >= int64(s.slots)*16
-		if s.ring == nil {
-			s.ring = make([]steadyPat, maxPeriod+1)
-			s.snaps = make([]steadySnap, maxPeriod+1)
-		}
-		return true
 	}
 	gate := s.MinUnitAccesses
 	budget := true
@@ -553,20 +520,10 @@ func (s *Steady) phaseViable() bool {
 	}
 	if !budget {
 		s.diag.RefusedBudget++
-		if !s.curRecOK {
-			return false
-		}
-		// Record anyway: the trace needs a record of every phase to
-		// reproduce the sweep.
-	}
-	if s.nAnchors > maxSteadyAnchors-8 {
-		// Recycle the anchor table between phases so streams with many
-		// distinct phase shapes (per-tile phases) keep detection. The
-		// trace's records reference anchor indices, so the trace dies.
-		s.nAnchors = 0
-		s.dl.ok = false
-		s.dl.stale = s.dl.traced
-		s.curRecOK = false
+		// Budget-refused phases pin regardless: replaying the whole phase
+		// is what is at stake in a measured sweep.
+		s.pinsOK = true
+		return false
 	}
 	s.t0 = 1
 	for _, c := range s.levels {
@@ -576,24 +533,14 @@ func (s *Steady) phaseViable() bool {
 			s.t0 = f
 		}
 	}
-	s.aViable = budget && s.t0 <= maxPeriod && s.planes >= 2*s.t0+2
-	if !s.aViable {
-		if budget {
-			if s.t0 > maxPeriod {
-				s.diag.RefusedT0++
-			} else {
-				s.diag.RefusedShort++
-			}
-		}
-		if !s.curRecOK {
-			return false
-		}
+	if s.t0 > maxPeriod {
+		s.diag.RefusedT0++
+		return false
 	}
-	// Pins cost O(slots) each; a phase whose total work cannot amortize
-	// that (per-tile phases against a large L2) skips them, and its
-	// replay leans on end-state chaining alone. Budget-refused phases
-	// pin regardless: replaying the whole phase is what is at stake.
-	s.pinsOK = !budget || s.curAcc*int64(s.planes) >= int64(s.slots)*16
+	if s.planes < 2*s.t0+2 {
+		s.diag.RefusedShort++
+		return false
+	}
 	if s.ring == nil {
 		s.ring = make([]steadyPat, maxPeriod+1)
 		s.snaps = make([]steadySnap, maxPeriod+1)
@@ -603,16 +550,14 @@ func (s *Steady) phaseViable() bool {
 
 // finishUnit archives the completed unit in the ring: the anchor its
 // pattern is a translate of (creating a new anchor when it matches
-// none) and its per-level stats delta.
-func (s *Steady) finishUnit() {
+// none) and its per-level stats delta. It reports false when the phase
+// has more distinct unit shapes than detection keeps.
+func (s *Steady) finishUnit() bool {
 	s.ensureBaseline()
 	a := s.matchAnchor()
 	if a < 0 {
 		if s.nAnchors == maxSteadyAnchors {
-			// More distinct unit shapes than any real walker emits; stop
-			// paying for detection.
-			s.dropRecording()
-			return
+			return false
 		}
 		if s.nAnchors == len(s.anchors) {
 			s.anchors = append(s.anchors, steadyAnchor{})
@@ -631,22 +576,7 @@ func (s *Steady) finishUnit() {
 	for i, c := range s.levels {
 		e.delta[i] = subStats(c.stats, s.baseline[i])
 	}
-	s.recordUnit(a, e.delta)
-}
-
-// recordUnit appends one completed unit to the phase record.
-func (s *Steady) recordUnit(a int, delta []Stats) {
-	if !s.curRecOK {
-		return
-	}
-	if s.unit != len(s.curAnchors) {
-		s.curRecOK = false
-		return
-	}
-	s.curAnchors = append(s.curAnchors, a)
-	d := make([]Stats, len(delta))
-	copy(d, delta)
-	s.curDeltas = append(s.curDeltas, d)
+	return true
 }
 
 // matchAnchor returns the index of the anchor the current unit's
@@ -801,12 +731,12 @@ func (s *Steady) confirmCycle(T int) {
 	m := remaining / T
 	if m < 1 {
 		// Nothing left to skip; larger periods only shrink m, so stop
-		// paying for snapshots. Recording continues for the trace.
-		s.aViable = false
+		// paying for snapshots.
+		s.mode = steadyLive
 		return
 	}
-	// The confirm unit is also the best pin for this phase: a replay
-	// that matches it commits everything after this point, which is
+	// The confirm unit is also the best pin for this phase: a measured
+	// sweep that matches it commits everything after this point, which is
 	// exactly what detection itself is about to skip.
 	s.forcePin()
 	cur, prev := s.snapAt(s.unit), s.snapAt(s.unit-T)
@@ -819,7 +749,6 @@ func (s *Steady) confirmCycle(T int) {
 	s.commits = 0
 	s.verified = 0
 	s.cursor = 0
-	s.recording = false
 	s.curPat = s.curPat[:0]
 	s.mode = steadySkip
 	s.cycles++
@@ -864,42 +793,25 @@ func (s *Steady) verifyBatch(runs []Run) {
 }
 
 func (s *Steady) skipMark(mk PlaneMark) {
-	if mk.Index != s.unit || mk.Delta != s.delta || mk.Planes != s.planes || mk.Level != s.level {
-		s.curRecOK = false
+	if !s.regular(mk) {
 		s.flush(nil)
-		if mk.Index >= mk.Planes-1 {
-			s.mode = steadyIdle
-		}
+		s.liveMark(mk)
 		return
 	}
 	if ref, _, ok := s.refFor(s.unit); !ok || s.cursor != len(ref) {
-		// The unit ended short of its reference pattern. The flush
-		// restarts recording with the replayed prefix as the unit's
-		// pattern, so finish it like an observed unit.
+		// The unit ended short of its reference pattern.
 		s.flush(nil)
-		if s.mode == steadyObserve && s.recording {
-			s.finishUnit()
-		}
 	} else {
 		s.cursor = 0
 		s.verified++
-		// A verified unit behaves identically to its ring counterpart,
-		// so the phase record extends without simulation.
-		if e := s.skipRef(s.unit); e != nil {
-			s.recordUnit(e.anchor, e.delta)
-		} else {
-			s.curRecOK = false
-		}
 		if s.verified%s.period == 0 {
 			s.commits++
 			if s.commits == s.commitTarget {
 				s.applySkip(s.commits)
 				s.commits = 0
-				// The sub-period remainder is simulated and recorded;
-				// nothing more for plane-cycle detection to gain.
-				s.aViable = false
-				s.recording = s.curRecOK
-				s.mode = steadyObserve
+				// The sub-period remainder replays; nothing more for
+				// plane-cycle detection to gain.
+				s.mode = steadyLive
 			}
 		}
 	}
@@ -908,19 +820,13 @@ func (s *Steady) skipMark(mk PlaneMark) {
 		return
 	}
 	s.unit++
-	s.started = false
-	if s.mode == steadyObserve && s.recording {
-		s.curPat = s.curPat[:0]
-		s.curAcc = 0
-	}
 }
 
 // flush abandons an in-progress skip exactly: the committed whole
 // periods are applied (stats + state translation), the verified but
 // uncommitted units are replayed from the ring, the current unit's
-// matched prefix is replayed, then the mismatching batch (if any).
-// Recording resumes mid-unit (the replayed prefix re-enters the pattern
-// buffer) so the phase record can still complete for the trace.
+// matched prefix is replayed, then the mismatching batch (if any). The
+// rest of the phase replays live.
 func (s *Steady) flush(pending []Run) {
 	if s.commits > 0 {
 		s.applySkip(s.commits)
@@ -932,49 +838,21 @@ func (s *Steady) flush(pending []Run) {
 			s.replayShifted(ref, off)
 		}
 	}
-	s.started = false
-	s.ensureBaseline()
-	s.curPat = s.curPat[:0]
-	s.curAcc = 0
-	s.recording = s.curRecOK
 	if ref, off, ok := s.refFor(s.unit); ok && s.cursor > 0 {
-		pre := ref[:s.cursor]
-		if s.recording {
-			for _, r := range pre {
-				r.Base += off
-				s.curPat = append(s.curPat, r)
-				if r.Count > 0 {
-					s.curAcc += int64(r.Count)
-				}
-			}
-		}
-		s.replayShifted(pre, off)
+		s.replayShifted(ref[:s.cursor], off)
 	}
 	s.cursor = 0
 	if len(pending) > 0 {
-		if s.recording {
-			s.curPat = append(s.curPat, pending...)
-			for _, r := range pending {
-				if r.Count > 0 {
-					s.curAcc += int64(r.Count)
-				}
-			}
-		}
 		s.replay(pending)
 	}
-	s.aViable = false
-	if s.recording {
-		s.mode = steadyObserve
-	} else {
-		s.mode = steadyLive
-	}
+	s.mode = steadyLive
 }
 
-// endPhase closes the current phase, archiving its record into the
-// trace when it covered every unit.
+// endPhase closes the current phase, archiving its record when one was
+// kept.
 func (s *Steady) endPhase() {
 	s.mode = steadyIdle
-	if s.curRecOK && len(s.curAnchors) == s.planes {
+	if s.dl.cur != nil {
 		s.archivePhase()
 	}
 }
@@ -1057,48 +935,32 @@ func (s *Steady) isPinUnit(u int) bool {
 	return u <= 4 || u == s.planes/4 || u == s.planes/3 || u == s.planes/2 || u == 3*s.planes/4
 }
 
-// capturePin records an order-normalized state pin at selected units.
-// Pins are where a delta replay can stop replaying a phase and commit
-// the rest from the record: the earlier a pin matches, the more of the
-// phase it skips, so every recorded phase pins — including
-// plane-cycle-viable ones, whose pins let a replay beat detection's
-// warm-up.
+// capturePin pins a recorded phase at selected units. Pins are where a
+// measured sweep can stop simulating a phase and commit the rest from
+// the record: the earlier a pin matches, the more of the phase it skips,
+// so every recorded phase pins — including plane-cycle-viable ones,
+// whose pins let a measured sweep beat detection's warm-up.
 func (s *Steady) capturePin() {
-	if !s.curRecOK || !s.isPinUnit(s.unit) {
-		return
+	if s.isPinUnit(s.unit) {
+		s.forcePin()
 	}
-	s.forcePin()
 }
 
-// forcePin captures a pin at the current unit unconditionally (dedup on
-// unit index).
+// forcePin pins the current unit of a recorded phase unconditionally
+// (once per unit): the encoded state and, until the phase ends, the
+// statistics so far.
 func (s *Steady) forcePin() {
-	if !s.curRecOK || !s.pinsOK || s.unit > s.planes-2 {
+	r := s.dl.cur
+	if r == nil || !s.pinsOK || s.unit > s.planes-2 || r.pinAt(s.unit) != nil {
 		return
 	}
-	for i := range s.curPins {
-		if s.curPins[i].unit == s.unit {
-			return
-		}
-	}
-	n := len(s.curPins)
-	if n < cap(s.curPins) {
-		s.curPins = s.curPins[:n+1]
-	} else {
-		s.curPins = append(s.curPins, steadyPin{})
-	}
-	pin := &s.curPins[n]
-	pin.unit = s.unit
-	if pin.data == nil {
-		pin.data = make([][]int64, len(s.levels))
-	}
+	pin := steadyPin{unit: s.unit, data: make([][]int64, len(s.levels)), rest: make([]Stats, len(s.levels))}
 	for li, c := range s.levels {
-		if cap(pin.data[li]) < len(c.tags) {
-			pin.data[li] = make([]int64, len(c.tags))
-		}
-		pin.data[li] = pin.data[li][:len(c.tags)]
+		pin.data[li] = make([]int64, len(c.tags))
 		s.encodeLevel(c, 0, pin.data[li], 0)
+		pin.rest[li] = c.stats
 	}
+	r.pins = append(r.pins, pin)
 }
 
 // encodeCurrent encodes the live state (no translation) into the
@@ -1248,6 +1110,7 @@ func sortedWays(c *Cache, set int) []struct {
 }
 
 var (
-	_ RunSink   = (*Steady)(nil)
-	_ PlaneSink = (*Steady)(nil)
+	_ RunSink      = (*Steady)(nil)
+	_ PlaneSink    = (*Steady)(nil)
+	_ PhaseSkipper = (*Steady)(nil)
 )

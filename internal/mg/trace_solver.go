@@ -128,10 +128,10 @@ type SimulatedExperiment struct {
 
 // RunSimulatedExperiment builds both solvers and simulates each on a
 // fresh hierarchy with cache.WarmMeasure: one warm-up iteration (a
-// V-cycle plus the finest residual) is traced and excluded, and the
-// measured iteration is reproduced from the trace by the steady
-// engine's delta layer. The statistics equal a raw replay of the same
-// two iterations. accessCycles, l1Miss and l2Miss parameterize the time
+// V-cycle plus the finest residual) is recorded and excluded, and the
+// measured iteration is served from its records by the steady engine's
+// delta layer. The statistics equal a raw replay of the same two
+// iterations. accessCycles, l1Miss and l2Miss parameterize the time
 // model.
 func RunSimulatedExperiment(lm, cs int, m core.Method, l1, l2 cache.Config, accessCycles, l1Miss, l2Miss float64) SimulatedExperiment {
 	orig, _ := simulateIteration(lm, core.Plan{}, l1, l2)
@@ -155,7 +155,7 @@ func (s *Solver) traceIterationRuns(sink cache.RunSink) {
 // simulateIteration runs the warm-measure protocol for one solver on a
 // fresh hierarchy and returns it holding the measured statistics, with
 // the delta-layer counters that show whether the measured iteration was
-// replayed from the trace.
+// served from the warm-up's records.
 func simulateIteration(lm int, p core.Plan, l1, l2 cache.Config) (*cache.Hierarchy, cache.DeltaDiag) {
 	s := New(Params{LM: lm, Plan: p})
 	h := cache.MustHierarchy(l1, l2) //lint:allow mustcheck -- fixed valid configs from the caller

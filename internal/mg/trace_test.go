@@ -91,10 +91,11 @@ func TestTraceVCycleCountsMatchTransform(t *testing.T) {
 }
 
 // TestSteadyMultigridLevels is the differential for the level-tagged
-// phase markers under the production protocol: the first V-cycle is
-// traced through the steady engine and the next two are replayed from
-// the trace, and statistics and cache state must equal a raw replay's
-// at every cycle end. Both replays must come from the trace.
+// phase markers under the production protocol: the first iteration (a
+// V-cycle plus the finest residual) is the warm-up of cache.WarmMeasure,
+// and the next ones are measured from its records. Statistics and cache
+// state must equal a raw replay's at every iteration end, and both
+// measured iterations must be served from the records.
 func TestSteadyMultigridLevels(t *testing.T) {
 	cases := []struct {
 		lm   int
@@ -105,36 +106,24 @@ func TestSteadyMultigridLevels(t *testing.T) {
 		{4, residPlan(4, 2048, core.MethodGcdPad)}, // tile 30×14
 	}
 	for _, tc := range cases {
-		raw := cache.MustHierarchy(cache.UltraSparc2L1(), cache.UltraSparc2L2())
-		st := cache.MustHierarchy(cache.UltraSparc2L1(), cache.UltraSparc2L2())
-		sd := cache.NewSteady(st)
-		sr := New(Params{LM: tc.lm, Plan: tc.plan})
-		ss := New(Params{LM: tc.lm, Plan: tc.plan})
-		for cyc := 0; cyc < 3; cyc++ {
-			sr.traceIterationRuns(raw)
-			switch {
-			case cyc == 0:
-				sd.DeltaTraceBegin()
-				ss.traceIterationRuns(sd)
-				if !sd.DeltaTraceEnd() {
-					t.Fatalf("LM=%d tiled=%v: the first V-cycle left no complete trace: %s",
-						tc.lm, tc.plan.Tiled, sd.DeltaInfo())
-				}
-			case !sd.ReplayDeltaSweep():
-				ss.traceIterationRuns(sd)
-			}
+		for cycles := 0; cycles <= 2; cycles++ {
+			raw := cache.MustHierarchy(cache.UltraSparc2L1(), cache.UltraSparc2L2())
+			st := cache.MustHierarchy(cache.UltraSparc2L1(), cache.UltraSparc2L2())
+			sd := cache.NewSteady(st)
+			cache.WarmMeasure(raw, nil, cycles, New(Params{LM: tc.lm, Plan: tc.plan}).traceIterationRuns)
+			cache.WarmMeasure(st, sd, cycles, New(Params{LM: tc.lm, Plan: tc.plan}).traceIterationRuns)
 			for l := 0; l < 2; l++ {
 				if raw.Level(l).Stats() != st.Level(l).Stats() {
-					t.Errorf("LM=%d tiled=%v cycle %d: L%d stats diverge: steady %+v, raw %+v",
-						tc.lm, tc.plan.Tiled, cyc, l+1, st.Level(l).Stats(), raw.Level(l).Stats())
+					t.Errorf("LM=%d tiled=%v, %d measured cycles: L%d stats diverge: steady %+v, raw %+v",
+						tc.lm, tc.plan.Tiled, cycles, l+1, st.Level(l).Stats(), raw.Level(l).Stats())
 				}
 				if !raw.Level(l).StateEqual(st.Level(l)) {
-					t.Errorf("LM=%d tiled=%v cycle %d: L%d cache state diverges", tc.lm, tc.plan.Tiled, cyc, l+1)
+					t.Errorf("LM=%d tiled=%v, %d measured cycles: L%d cache state diverges", tc.lm, tc.plan.Tiled, cycles, l+1)
 				}
 			}
-		}
-		if d := sd.DeltaInfo(); d.Sweeps != 2 {
-			t.Errorf("LM=%d tiled=%v: %d of 2 V-cycles replayed from the trace: %s", tc.lm, tc.plan.Tiled, d.Sweeps, d)
+			if d := sd.DeltaInfo(); !d.Traced || d.Sweeps != uint64(cycles) || d.Fallbacks != 0 {
+				t.Errorf("LM=%d tiled=%v: %d measured iterations not all served from the records: %s", tc.lm, tc.plan.Tiled, cycles, d)
+			}
 		}
 	}
 }

@@ -238,9 +238,9 @@ func TestSteadyTLBDifferential(t *testing.T) {
 		if tc.wantS && st.SkippedPlanes() == 0 {
 			t.Errorf("%s: expected the steady engine to skip planes", tc.name)
 		}
-		if !tc.wantS && st.Cycles() != 0 {
+		if !tc.wantS && st.Diag().Confirmed != 0 {
 			// Plane-cycle detection must refuse the unalignable stride.
-			t.Errorf("%s: expected plane-cycle detection to be refused, confirmed %d cycles", tc.name, st.Cycles())
+			t.Errorf("%s: expected plane-cycle detection to be refused, confirmed %d cycles", tc.name, st.Diag().Confirmed)
 		}
 		if !mems[0].TLB.StateEqual(mems[2].TLB) {
 			t.Errorf("%s: TLB state diverges under steady path", tc.name)

@@ -298,7 +298,9 @@ func (p *Program) run(depth int, vars []int64, mem cache.Memory) {
 // iteration of the outermost loop of a nest at least two loops deep it
 // emits a cache.PlaneMark naming the iteration (Index), the loop's trip
 // count (Planes) and the program's byte shift per iteration (Delta) to
-// sinks that understand markers. A whole execution allocates O(refs).
+// sinks that understand markers; a sink that declines the rest of the
+// phase (cache.PhaseSkipper) next receives only the closing marker. A
+// whole execution allocates O(refs).
 func (p *Program) RunBatched(sink cache.RunSink) {
 	if len(p.refs) == 0 {
 		return
@@ -318,6 +320,7 @@ func (p *Program) RunBatched(sink cache.RunSink) {
 	ng := len(p.groups)
 	e := &emitter{p: p, sink: sink, vars: make([]int64, len(p.loops)), buf: buf, off: p.off}
 	e.marks, _ = sink.(cache.PlaneSink)
+	e.skip, _ = sink.(cache.PhaseSkipper)
 	flat := make([]int64, 3*ng)
 	e.row, e.rowStride, e.inner = flat[:ng], flat[ng:2*ng], flat[2*ng:]
 	for g := range p.groups {
@@ -342,6 +345,7 @@ type emitter struct {
 	p     *Program
 	sink  cache.RunSink
 	marks cache.PlaneSink
+	skip  cache.PhaseSkipper
 	vars  []int64
 	buf   []cache.Run
 	off   []int64
@@ -364,17 +368,25 @@ func (e *emitter) loop(d int) {
 	for v, i := lo, 0; v <= hi; v, i = v+l.step, i+1 {
 		e.vars[d] = v
 		e.loop(d + 1)
-		if d == 0 {
-			e.mark(i, l.trips(lo, hi))
+		if d == 0 && e.mark(i, l.trips(lo, hi)) {
+			return
 		}
 	}
 }
 
-// mark emits the phase marker closing outermost iteration i of n.
-func (e *emitter) mark(i int, n int64) {
-	if e.marks != nil {
-		e.marks.PlaneMark(cache.PlaneMark{Delta: e.p.delta, Index: i, Planes: int(n)})
+// mark emits the phase marker closing outermost iteration i of n. When
+// the sink then declines the rest of the phase, it emits the closing
+// marker too and reports true.
+func (e *emitter) mark(i int, n int64) bool {
+	if e.marks == nil {
+		return false
 	}
+	e.marks.PlaneMark(cache.PlaneMark{Delta: e.p.delta, Index: i, Planes: int(n)})
+	if e.skip == nil || int64(i) >= n-1 || !e.skip.SkipRest() {
+		return false
+	}
+	e.marks.PlaneMark(cache.PlaneMark{Delta: e.p.delta, Index: int(n) - 1, Planes: int(n)})
+	return true
 }
 
 // rows runs the row loop (the loop around the innermost) at depth d,
@@ -415,8 +427,8 @@ func (e *emitter) rows(lo, hi int64) {
 		for g := range e.row {
 			e.row[g] += e.rowStride[g]
 		}
-		if d == 0 {
-			e.mark(i, trips)
+		if d == 0 && e.mark(i, trips) {
+			return
 		}
 	}
 }
