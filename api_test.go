@@ -54,9 +54,6 @@ func TestPublicWorkloadRoundTrip(t *testing.T) {
 	if h.Level(0).Stats().Accesses() == 0 {
 		t.Error("trace produced no accesses")
 	}
-	if got, want := h.Level(0).Config().Elems(8), 2048; got != want {
-		t.Errorf("L1 elems = %d, want %d", got, want)
-	}
 }
 
 func TestPublicGrids(t *testing.T) {

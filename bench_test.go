@@ -4,8 +4,8 @@ package tiling3d
 // ablations DESIGN.md calls out. Simulation benchmarks report the
 // figure's metric (miss rates, model MFlops) via b.ReportMetric, so
 // `go test -bench .` regenerates the headline numbers; the full per-size
-// series come from cmd/simulate, cmd/perf, cmd/memuse, cmd/mgrid and
-// cmd/experiments.
+// series come from cmd/simulate, cmd/perf and cmd/experiments (its
+// -memuse and -mgrid sections cover Figure 22 and Section 4.6).
 
 import (
 	"fmt"
@@ -100,7 +100,7 @@ func estBench(b *testing.B, k stencil.Kernel, m core.Method, n int, model bench.
 	opt := benchOpt()
 	var p bench.PerfPoint
 	for i := 0; i < b.N; i++ {
-		p = bench.EstimatePoint(k, m, n, opt, model)
+		p = bench.SimulateStats(k, m, n, opt).Estimate(model)
 	}
 	b.ReportMetric(p.MFlops, "modelMFlops")
 }
@@ -525,8 +525,9 @@ func BenchmarkSimFanout(b *testing.B) {
 		b.Run(fmt.Sprintf("workers%d", w), func(b *testing.B) {
 			o := opt
 			o.Workers = w
+			o.Methods = []core.Method{core.MethodGcdPad}
 			for i := 0; i < b.N; i++ {
-				bench.MissSeries(stencil.Jacobi, core.MethodGcdPad, o)
+				bench.MissSweep(stencil.Jacobi, o)
 			}
 		})
 	}

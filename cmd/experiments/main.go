@@ -275,6 +275,11 @@ func main() {
 		if err := bench.WriteMemSeries(os.Stdout, series, methods, opt); err != nil {
 			fail(err)
 		}
+		fmt.Printf("\npaper's K=N estimate (pad bytes of the K=%d configuration over an N^3 array):\n", opt.K)
+		for _, m := range methods {
+			kn := bench.AverageMem(bench.MemorySeriesKNEstimate(stencil.Jacobi, m, opt.K, opt))
+			fmt.Printf("  %-8s %.2f%%\n", m, kn)
+		}
 		fmt.Println()
 	}
 
@@ -325,11 +330,14 @@ func main() {
 		res := mg.RunExperiment(lm, iters, opt.CacheElems(), core.MethodGcdPad)
 		fmt.Printf("finest grid %d^3, %d V-cycles: orig %.3fs, tiled %.3fs, native improvement %+.1f%%, identical=%v\n",
 			(1<<lm)+2, iters, res.OrigSeconds, res.TiledSeconds, res.ImprovementPct, res.Identical)
-		est := bench.MGridAmdahl(lm, core.MethodGcdPad, 0.60, opt, bench.UltraSparc2Model())
-		fmt.Printf("simulated finest-grid RESID L1: orig %.2f%% (paper: 6.8%% at 130^3), tiled %.2f%%\n",
-			est.OrigL1, est.TiledL1)
-		fmt.Printf("cycle-model: RESID speedup %.2fx; whole-app estimate %+.1f%% (paper: 6%%; pathological sizes improve much more)\n\n",
-			est.ResidSpeedup, est.AppImprovementPct)
+		if !res.Identical {
+			fail(errors.New("MGRID: the tiled run was not bit-identical to the original"))
+		}
+		sim := mg.RunSimulatedExperiment(lm, opt.CacheElems(), core.MethodGcdPad, opt.L1, opt.L2, 1, 8, 50)
+		fmt.Printf("simulated whole V-cycle on the paper's machine: L1 %.2f%% -> %.2f%%, cycle-model improvement %+.1f%%\n",
+			sim.OrigL1, sim.TiledL1, sim.ImprovementPct)
+		fmt.Println("paper (UltraSparc2, 130^3): L1 miss rate 6.8%, whole-application improvement 6%")
+		fmt.Println()
 	}
 }
 

@@ -6,9 +6,13 @@
 //
 //	fc -param N=300 -cache 16384 -method Pad kernel.f
 //	echo 'do K=2,N-1 ...' | fc -param N=300 -
+//	fc -kernel jacobi -param N=300 -param K=30 -method Pad
 //
-// With -ir it also prints the nest before and after transformation; with
-// -plan-only it stops after selection.
+// -kernel compiles a built-in kernel's nest (jacobi or resid) instead of
+// reading source. With -ir it also prints the nest before and after
+// transformation; with -certify it checks that the transformed nest
+// preserves every dependence of the original; with -plan-only it stops
+// after selection.
 package main
 
 import (
@@ -20,8 +24,10 @@ import (
 	"strings"
 
 	"tiling3d/internal/core"
+	"tiling3d/internal/deps"
 	"tiling3d/internal/ir"
 	"tiling3d/internal/lang"
+	"tiling3d/internal/stencil"
 	"tiling3d/internal/transform"
 )
 
@@ -48,35 +54,50 @@ func main() {
 		cacheBytes = flag.Int("cache", 16384, "target cache capacity (bytes)")
 		elemSize   = flag.Int("elem", 8, "element size (bytes)")
 		methodName = flag.String("method", "Pad", "selection method")
-		funcName   = flag.String("func", "stencilTiled", "generated function name")
+		funcName   = flag.String("func", "", "generated function name (default stencilTiled; jacobiTiled or residTiled with -kernel)")
+		kernelName = flag.String("kernel", "", "compile a built-in kernel, jacobi or resid, at -param N and K (default 300 and 30) instead of reading source")
 		showIR     = flag.Bool("ir", false, "print the IR before and after transformation")
+		certify    = flag.Bool("certify", false, "run the dependence certifier on the transformed nest")
 		planOnly   = flag.Bool("plan-only", false, "stop after tile/padding selection")
 	)
 	flag.Var(params, "param", "size parameter NAME=VALUE (repeatable)")
 	flag.Parse()
 
-	src, err := readSource(flag.Arg(0))
-	if err != nil {
-		fail(err)
+	var nest *ir.Nest
+	name := *funcName
+	if *kernelName != "" {
+		var err error
+		nest, name, err = kernelNest(*kernelName, params, name)
+		if err != nil {
+			fail(err)
+		}
+	} else {
+		if name == "" {
+			name = "stencilTiled"
+		}
+		src, err := readSource(flag.Arg(0))
+		if err != nil {
+			fail(err)
+		}
+		prog, err := lang.ParseProgram(src, params)
+		if err != nil {
+			fail(err)
+		}
+		if prog.TimeVar != "" {
+			fmt.Printf("// time loop %s: %d steps (per-sweep code below; run it %d times)\n",
+				prog.TimeVar, prog.Steps, prog.Steps)
+		}
+		if len(prog.Nests) == 2 {
+			// The "realistic stencil code" pattern (Figure 5, middle): fuse
+			// the two nests so one traversal performs both.
+			compileFusedPair(prog, name, *showIR)
+			return
+		}
+		if len(prog.Nests) != 1 {
+			fail(fmt.Errorf("fc: %d nests; only single nests and fusible pairs are supported", len(prog.Nests)))
+		}
+		nest = prog.Nests[0]
 	}
-	prog, err := lang.ParseProgram(src, params)
-	if err != nil {
-		fail(err)
-	}
-	if prog.TimeVar != "" {
-		fmt.Printf("// time loop %s: %d steps (per-sweep code below; run it %d times)\n",
-			prog.TimeVar, prog.Steps, prog.Steps)
-	}
-	if len(prog.Nests) == 2 {
-		// The "realistic stencil code" pattern (Figure 5, middle): fuse
-		// the two nests so one traversal performs both.
-		compileFusedPair(prog, *funcName, *showIR)
-		return
-	}
-	if len(prog.Nests) != 1 {
-		fail(fmt.Errorf("fc: %d nests; only single nests and fusible pairs are supported", len(prog.Nests)))
-	}
-	nest := prog.Nests[0]
 	st, err := ir.Analyze(nest)
 	if err != nil {
 		fail(err)
@@ -114,11 +135,47 @@ func main() {
 		fmt.Println("// transformed nest:")
 		comment(tiled.String())
 	}
-	code, err := transform.GenGo(tiled, *funcName)
+	if *certify {
+		if err := deps.Certify(nest, tiled); err != nil {
+			fail(err)
+		}
+		fmt.Println("// certified: the transformed nest preserves every dependence of the original")
+	}
+	code, err := transform.GenGo(tiled, name)
 	if err != nil {
 		fail(err)
 	}
 	fmt.Print(code)
+}
+
+// kernelNest builds a built-in kernel's nest at the -param sizes N and K,
+// with the kernel's function name unless one was given.
+func kernelNest(kernelName string, params paramList, funcName string) (*ir.Nest, string, error) {
+	n, k := 300, 30
+	if v, ok := params["N"]; ok {
+		n = v
+	}
+	if v, ok := params["K"]; ok {
+		k = v
+	}
+	kernel, err := stencil.ParseKernel(kernelName)
+	if err != nil {
+		return nil, "", err
+	}
+	var nest *ir.Nest
+	var name string
+	switch kernel {
+	case stencil.Jacobi:
+		nest, name = ir.JacobiNest(n, k), "jacobiTiled"
+	case stencil.Resid:
+		nest, name = ir.ResidNest(n, k), "residTiled"
+	default:
+		return nil, "", fmt.Errorf("fc: %v has data-dependent control flow the IR does not model; use jacobi or resid", kernel)
+	}
+	if funcName != "" {
+		name = funcName
+	}
+	return nest, name, nil
 }
 
 // compileFusedPair handles the two-nest program: compute the minimum

@@ -382,10 +382,3 @@ func simL2(g *Geometry) cache.Config {
 	}
 	return cache.UltraSparc2L2()
 }
-
-// SweepBenchOptions exposes the job option mapping for ID/fingerprint
-// stability tests.
-func SweepBenchOptions(req SweepRequest) (bench.Options, error) {
-	opt, _, err := sweepOptions(req, context.Background(), 1, nil)
-	return opt, err
-}

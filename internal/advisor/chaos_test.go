@@ -221,7 +221,7 @@ func TestChaosScriptedRequestStorm(t *testing.T) {
 	}
 	// Failures at 2, 3 and 5 were non-consecutive (4 succeeded), so the
 	// breaker must still be closed.
-	if st := srv.Breaker().State(); st != BreakerClosed {
+	if st := srv.breaker.State(); st != BreakerClosed {
 		t.Errorf("breaker = %v after interleaved failures, want closed", st)
 	}
 	if calls := script.Calls("sim"); calls != 5 {

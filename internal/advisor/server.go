@@ -131,13 +131,6 @@ func NewServer(cfg Config) *Server {
 // Handler returns the service's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Breaker exposes the circuit breaker for tests and the health handler.
-func (s *Server) Breaker() *Breaker { return s.breaker }
-
-// Jobs exposes the job manager (nil when no journal directory is
-// configured).
-func (s *Server) Jobs() *JobManager { return s.jobs }
-
 // Resume restarts unfinished sweep jobs from the journal directory;
 // call once at startup.
 func (s *Server) Resume() ([]string, error) {

@@ -332,7 +332,7 @@ func TestBreakerDegradesAndRecovers(t *testing.T) {
 	if pr := get(48); !pr.Degraded {
 		t.Error("request 2 (injected panic) not degraded")
 	}
-	if st := srv.Breaker().State(); st != BreakerOpen {
+	if st := srv.breaker.State(); st != BreakerOpen {
 		t.Fatalf("breaker after 2 failures = %v, want open", st)
 	}
 
@@ -347,13 +347,13 @@ func TestBreakerDegradesAndRecovers(t *testing.T) {
 
 	// Cooldown passes: the half-open probe runs clean and closes it.
 	time.Sleep(250 * time.Millisecond)
-	if st := srv.Breaker().State(); st != BreakerHalfOpen {
+	if st := srv.breaker.State(); st != BreakerHalfOpen {
 		t.Fatalf("breaker after cooldown = %v, want half-open", st)
 	}
 	if pr := get(64); pr.Degraded {
 		t.Errorf("probe request degraded: %s", pr.DegradedReason)
 	}
-	if st := srv.Breaker().State(); st != BreakerClosed {
+	if st := srv.breaker.State(); st != BreakerClosed {
 		t.Fatalf("breaker after successful probe = %v, want closed", st)
 	}
 }
@@ -404,7 +404,7 @@ func TestHalfOpenProbeShedDoesNotWedge(t *testing.T) {
 	})
 	// Trip the breaker, let the cooldown lapse, then claim the half-open
 	// probe with a request that gets shed at admission.
-	srv.Breaker().Record(false)
+	srv.breaker.Record(false)
 	time.Sleep(5 * time.Millisecond)
 	release := occupyPool(t, srv.pool)
 	defer release()
@@ -421,7 +421,7 @@ func TestHalfOpenProbeShedDoesNotWedge(t *testing.T) {
 	if pr.Degraded {
 		t.Fatalf("breaker wedged half-open after a shed probe: %s", pr.DegradedReason)
 	}
-	if st := srv.Breaker().State(); st != BreakerClosed {
+	if st := srv.breaker.State(); st != BreakerClosed {
 		t.Fatalf("breaker after replacement probe = %v, want closed", st)
 	}
 }
@@ -444,7 +444,7 @@ func TestDeadlineWhileQueuedDoesNotTripBreaker(t *testing.T) {
 	if !pr.Degraded || !strings.Contains(pr.DegradedReason, "deadline") {
 		t.Fatalf("response = degraded:%v reason:%q, want deadline degradation", pr.Degraded, pr.DegradedReason)
 	}
-	if st := srv.Breaker().State(); st != BreakerClosed {
+	if st := srv.breaker.State(); st != BreakerClosed {
 		t.Fatalf("breaker = %v after a queued deadline expiry, want closed (threshold 1)", st)
 	}
 }
@@ -479,7 +479,7 @@ func TestJobIDPathTraversalRejected(t *testing.T) {
 			t.Errorf("GET /v1/jobs/%s = %d, want 404: %s", id, resp.StatusCode, body)
 		}
 	}
-	if _, ok := srv.Jobs().Get("../secret"); ok {
+	if _, ok := srv.jobs.Get("../secret"); ok {
 		t.Error("JobManager.Get resolved a traversal id")
 	}
 }

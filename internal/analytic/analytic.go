@@ -57,11 +57,11 @@ func (m Machine) JacobiTiledMissRate(ti, tj int) float64 {
 	return 100 * (loadsMissPerPoint + 1) / accesses
 }
 
-// Jacobi2DOrigMissRate predicts the untiled 2D Jacobi miss rate
+// jacobi2DOrigMissRate predicts the untiled 2D Jacobi miss rate
 // (percent): 4 loads and 1 store per point; the J+1 leading reference
 // misses once per line and the others hit as long as two columns fit
 // (Section 1's 2D argument).
-func (m Machine) Jacobi2DOrigMissRate(n int) float64 {
+func (m Machine) jacobi2DOrigMissRate(n int) float64 {
 	perLine := 1.0
 	if 2*n > m.CacheElems {
 		perLine += 2 // column reuse lost: J-1 and one of the i-neighbors' rows
@@ -70,9 +70,9 @@ func (m Machine) Jacobi2DOrigMissRate(n int) float64 {
 	return 100 * (perLine/float64(m.LineElems) + 1) / accesses
 }
 
-// ReuseBoundary3D returns the largest N whose two N x N planes fit:
+// reuseBoundary3D returns the largest N whose two N x N planes fit:
 // sqrt(C_s / 2), the paper's Section 1 threshold.
-func (m Machine) ReuseBoundary3D() int {
+func (m Machine) reuseBoundary3D() int {
 	n := 0
 	for (n+1)*(n+1)*2 <= m.CacheElems {
 		n++
@@ -80,7 +80,7 @@ func (m Machine) ReuseBoundary3D() int {
 	return n
 }
 
-// PathologicalJacobi3D predicts whether problem size n severely spikes
+// pathologicalJacobi3D predicts whether problem size n severely spikes
 // the untiled 3D stencil's conflict misses on a direct-mapped cache of
 // m.CacheElems: the K+/-1 plane rows land almost exactly on the current
 // rows when N^2 mod C_s (or its complement) is much smaller than a row,
@@ -88,7 +88,7 @@ func (m Machine) ReuseBoundary3D() int {
 // are the spikes in the Orig curves of Figures 14/16/18 that padding
 // removes. Mild overlap (offset below N but not tiny) elevates the rate
 // without a full spike; the threshold N/8 separates the regimes.
-func (m Machine) PathologicalJacobi3D(n int) bool {
+func (m Machine) pathologicalJacobi3D(n int) bool {
 	d := (n * n) % m.CacheElems
 	if d > m.CacheElems/2 {
 		d = m.CacheElems - d
@@ -96,21 +96,21 @@ func (m Machine) PathologicalJacobi3D(n int) bool {
 	return d < n/8
 }
 
-// PathologicalSizes lists the predicted spike sizes in [lo, hi].
-func (m Machine) PathologicalSizes(lo, hi int) []int {
+// pathologicalSizes lists the predicted spike sizes in [lo, hi].
+func (m Machine) pathologicalSizes(lo, hi int) []int {
 	var out []int
 	for n := lo; n <= hi; n++ {
-		if m.PathologicalJacobi3D(n) {
+		if m.pathologicalJacobi3D(n) {
 			out = append(out, n)
 		}
 	}
 	return out
 }
 
-// TiledSpeedupEstimate predicts the ratio of untiled to tiled execution
+// tiledSpeedupEstimate predicts the ratio of untiled to tiled execution
 // time under a simple model where every L1 miss costs penalty cycles and
 // every access costs one: the first-order version of bench.CycleModel.
-func (m Machine) TiledSpeedupEstimate(n, ti, tj int, penalty float64) float64 {
+func (m Machine) tiledSpeedupEstimate(n, ti, tj int, penalty float64) float64 {
 	orig := m.JacobiOrigMissRate(n) / 100
 	tiled := m.JacobiTiledMissRate(ti, tj) / 100
 	return (1 + orig*penalty) / (1 + tiled*penalty)

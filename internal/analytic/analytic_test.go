@@ -77,8 +77,8 @@ func TestRegimeTransitions(t *testing.T) {
 	if small >= large {
 		t.Errorf("no regime change: %.2f%% at N=20 vs %.2f%% at N=300", small, large)
 	}
-	if b := m.ReuseBoundary3D(); b != 32 {
-		t.Errorf("ReuseBoundary3D = %d, want 32", b)
+	if b := m.reuseBoundary3D(); b != 32 {
+		t.Errorf("reuseBoundary3D = %d, want 32", b)
 	}
 	// The J-row regime kicks in past N = C_s/8 = 256.
 	mid := m.JacobiOrigMissRate(200)
@@ -91,8 +91,8 @@ func TestRegimeTransitions(t *testing.T) {
 func Test2DPredictor(t *testing.T) {
 	m := ultra1()
 	// 2D Jacobi holds reuse up to N=1024: flat low rate below, higher above.
-	lo := m.Jacobi2DOrigMissRate(1000)
-	hi := m.Jacobi2DOrigMissRate(1100)
+	lo := m.jacobi2DOrigMissRate(1000)
+	hi := m.jacobi2DOrigMissRate(1100)
 	if lo >= hi {
 		t.Errorf("2D cliff missing: %.2f%% vs %.2f%%", lo, hi)
 	}
@@ -109,16 +109,16 @@ func TestPathologicalPrediction(t *testing.T) {
 	// Known spikes in the paper's range: 256 and 320 (N^2 = 0 mod 2048),
 	// 362 (N^2 = 2020, complement 28 < N).
 	for _, n := range []int{256, 320, 362} {
-		if !m.PathologicalJacobi3D(n) {
+		if !m.pathologicalJacobi3D(n) {
 			t.Errorf("N=%d not flagged pathological", n)
 		}
 	}
 	for _, n := range []int{300, 299, 350} {
-		if m.PathologicalJacobi3D(n) {
+		if m.pathologicalJacobi3D(n) {
 			t.Errorf("N=%d wrongly flagged", n)
 		}
 	}
-	sizes := m.PathologicalSizes(200, 400)
+	sizes := m.pathologicalSizes(200, 400)
 	if len(sizes) < 3 || len(sizes) > 60 {
 		t.Errorf("flagged %d sizes in 200..400: %v", len(sizes), sizes)
 	}
@@ -130,7 +130,7 @@ func TestPathologicalPrediction(t *testing.T) {
 func TestPathologicalSizesSpikeInSimulator(t *testing.T) {
 	m := ultra1()
 	for _, n := range []int{256, 320} {
-		if !m.PathologicalJacobi3D(n) || m.PathologicalJacobi3D(n-5) {
+		if !m.pathologicalJacobi3D(n) || m.pathologicalJacobi3D(n-5) {
 			t.Fatalf("test premise broken at n=%d", n)
 		}
 		spike := simulateJacobi(n, core.Plan{DI: n, DJ: n})
@@ -143,7 +143,7 @@ func TestPathologicalSizesSpikeInSimulator(t *testing.T) {
 
 func TestTiledSpeedupEstimate(t *testing.T) {
 	m := ultra1()
-	s := m.TiledSpeedupEstimate(300, 30, 14, 8)
+	s := m.tiledSpeedupEstimate(300, 30, 14, 8)
 	if s <= 1 || s > 3 {
 		t.Errorf("speedup estimate %.2f out of plausible range", s)
 	}

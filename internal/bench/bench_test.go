@@ -73,7 +73,7 @@ func TestPaddedMethodsStableAcrossSizes(t *testing.T) {
 	opt := smallOptions()
 	opt.NMin, opt.NMax, opt.NStep = 56, 72, 4 // includes 64 = pathological for 256-elem cache
 	spread := func(m core.Method) float64 {
-		s, err := MissSeries(stencil.Jacobi, m, opt)
+		s, err := missSeries(stencil.Jacobi, m, opt)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -28,24 +28,11 @@ func (o PointOutcome) missPoint() MissPoint {
 	return o.Res.MissPoint()
 }
 
-// MissSeries simulates the kernel under one transformation across the
-// sweep, producing the per-size curves of Figures 14, 16, 18 and 20.
+// MissSweep simulates the kernel under every configured method across
+// the sweep, producing the per-size curves of Figures 14, 16, 18 and 20.
 // Cells are simulated concurrently (each owns its workload and its
 // simulated caches, so results are deterministic). On cancellation the
-// partial series is returned along with the context's error.
-func MissSeries(k stencil.Kernel, m core.Method, opt Options) ([]MissPoint, error) {
-	o := opt
-	o.Methods = []core.Method{m}
-	outs, err := simGrid(k, o)
-	pts := make([]MissPoint, len(outs))
-	for i, oc := range outs {
-		pts[i] = oc.missPoint()
-	}
-	return pts, err
-}
-
-// MissSweep runs the sweep for every configured method in one
-// concurrent pass.
+// partial sweep is returned along with the context's error.
 func MissSweep(k stencil.Kernel, opt Options) (map[core.Method][]MissPoint, error) {
 	outs, err := simGrid(k, opt)
 	if outs == nil {

@@ -61,12 +61,6 @@ func (r SimResult) Estimate(model CycleModel) PerfPoint {
 	return PerfPoint{N: r.N, MFlops: model.MFlops(r.Flops, r.L1, r.L2)}
 }
 
-// EstimatePoint simulates one (kernel, method, size) cell and converts it
-// to model-estimated MFlops.
-func EstimatePoint(k stencil.Kernel, m core.Method, n int, opt Options, model CycleModel) PerfPoint {
-	return SimulateStats(k, m, n, opt).Estimate(model)
-}
-
 // estPoint converts a sweep outcome to the cycle-model view, keeping the
 // problem size on failed cells so tables can label them.
 func (o PointOutcome) estPoint(model CycleModel) PerfPoint {
@@ -79,22 +73,8 @@ func (o PointOutcome) estPoint(model CycleModel) PerfPoint {
 	return o.Res.Estimate(model)
 }
 
-// EstimateSeries produces the model-estimated MFlops curve across the
-// sweep. On cancellation the partial series is returned along with the
-// context's error.
-func EstimateSeries(k stencil.Kernel, m core.Method, opt Options, model CycleModel) ([]PerfPoint, error) {
-	o := opt
-	o.Methods = []core.Method{m}
-	outs, err := simGrid(k, o)
-	pts := make([]PerfPoint, len(outs))
-	for i, oc := range outs {
-		pts[i] = oc.estPoint(model)
-	}
-	return pts, err
-}
-
-// EstimateSweep runs EstimateSeries for every configured method in one
-// concurrent pass.
+// EstimateSweep produces the model-estimated MFlops curves of every
+// configured method in one concurrent pass.
 func EstimateSweep(k stencil.Kernel, opt Options, model CycleModel) (map[core.Method][]PerfPoint, error) {
 	outs, err := simGrid(k, opt)
 	if outs == nil {
@@ -137,37 +117,4 @@ func CombinedSweep(k stencil.Kernel, opt Options, model CycleModel) (map[core.Me
 		perf[m] = pp
 	}
 	return miss, perf, err
-}
-
-// MGridEstimate is the simulated view of the Section 4.6 experiment.
-type MGridEstimate struct {
-	// OrigL1 and TiledL1 are the finest-grid RESID L1 miss rates. The
-	// paper notes the 130^3 reference size "encounters a modest L1 miss
-	// rate of only 6.8%", which bounds what tiling can recover there.
-	OrigL1, TiledL1 float64
-	// ResidSpeedup is the cycle-model speedup of the finest-grid RESID.
-	ResidSpeedup float64
-	// AppImprovementPct dilutes it by RESID's share of MGRID run time
-	// (about 60% in the paper).
-	AppImprovementPct float64
-}
-
-// MGridAmdahl estimates the Section 4.6 whole-application improvement on
-// the modeled machine: the cycle-model speedup of the finest-grid RESID
-// (an (2^lm+2)-cubed problem) under method m, diluted by RESID's share of
-// MGRID's execution time.
-func MGridAmdahl(lm int, m core.Method, residShare float64, opt Options, model CycleModel) MGridEstimate {
-	fm := (1 << lm) + 2
-	o := opt
-	o.K = fm
-	orig := SimulateStats(stencil.Resid, core.Orig, fm, o)
-	tiled := SimulateStats(stencil.Resid, m, fm, o)
-	speedup := tiled.Estimate(model).MFlops / orig.Estimate(model).MFlops
-	app := 1 / ((1 - residShare) + residShare/speedup)
-	return MGridEstimate{
-		OrigL1:            orig.MissPoint().L1,
-		TiledL1:           tiled.MissPoint().L1,
-		ResidSpeedup:      speedup,
-		AppImprovementPct: (app - 1) * 100,
-	}
 }

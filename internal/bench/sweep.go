@@ -233,7 +233,7 @@ func simGrid(k stencil.Kernel, opt Options) ([]PointOutcome, error) {
 // forEachCtx is the cancellation-aware fan-out for the small experiments
 // (associativity, 2D, tile search) that manage their own result slices:
 // cancellation stops dispatch and leaves unreached slots zero-valued,
-// while a panic propagates like cache.ForEach would — these experiments
+// while a point's panic is re-raised in the caller — these experiments
 // have no per-point retry ladder.
 func forEachCtx(opt Options, n int, fn func(i int)) {
 	perrs, _ := cache.ForEachCtx(opt.ctx(), n, opt.Workers, fn)

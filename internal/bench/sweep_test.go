@@ -393,8 +393,8 @@ func TestSweepValidatesOptionsUpFront(t *testing.T) {
 	if _, err := MissSweep(stencil.Jacobi, bad); err == nil {
 		t.Error("MissSweep accepted NMin > NMax")
 	}
-	if _, err := MissSeries(stencil.Jacobi, core.Orig, bad); err == nil {
-		t.Error("MissSeries accepted NMin > NMax")
+	if _, err := missSeries(stencil.Jacobi, core.Orig, bad); err == nil {
+		t.Error("missSeries accepted NMin > NMax")
 	}
 	if _, err := Table3(bad, false); err == nil {
 		t.Error("Table3 accepted NMin > NMax")

@@ -4,8 +4,6 @@ import (
 	"testing"
 
 	"tiling3d/internal/cache"
-	"tiling3d/internal/grid"
-	"tiling3d/internal/stencil"
 )
 
 // TestTwoDTilingUnnecessary verifies the Section 2.1 claim at simulation
@@ -34,29 +32,5 @@ func TestTwoDCliffPast1024(t *testing.T) {
 	pts := TwoDSeries([]int{1000, 1100}, l1, smallOptions())
 	if pts[1].Orig <= pts[0].Orig+2 {
 		t.Errorf("no 2D cliff: %.2f%% at N=1000, %.2f%% at N=1100", pts[0].Orig, pts[1].Orig)
-	}
-}
-
-func TestJacobi2DTiledMatchesOrig(t *testing.T) {
-	for _, ti := range []int{1, 3, 7, 100} {
-		n := 30
-		mk := func() (*grid.Grid2D, *grid.Grid2D) {
-			a := grid.New2D(n, n)
-			b := grid.New2D(n, n)
-			b.FillFunc(func(i, j int) float64 { return float64(i*31+j) * 0.01 })
-			a.FillFunc(func(i, j int) float64 { return -float64(i + j) })
-			return a, b
-		}
-		a1, b1 := mk()
-		a2, b2 := mk()
-		stencil.Jacobi2DOrig(a1, b1, 0.25)
-		stencil.Jacobi2DTiled(a2, b2, 0.25, ti)
-		for j := 0; j < n; j++ {
-			for i := 0; i < n; i++ {
-				if a1.At(i, j) != a2.At(i, j) {
-					t.Fatalf("ti=%d: (%d,%d) %g vs %g", ti, i, j, a1.At(i, j), a2.At(i, j))
-				}
-			}
-		}
 	}
 }

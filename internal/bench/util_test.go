@@ -12,13 +12,13 @@ import (
 func TestWorkersDoNotChangeResults(t *testing.T) {
 	opt := smallOptions()
 	opt.Workers = 1
-	serial, err := MissSeries(stencil.Jacobi, core.MethodGcdPad, opt)
+	serial, err := missSeries(stencil.Jacobi, core.MethodGcdPad, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{0, 2, 7} {
 		opt.Workers = w
-		got, err := MissSeries(stencil.Jacobi, core.MethodGcdPad, opt)
+		got, err := missSeries(stencil.Jacobi, core.MethodGcdPad, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,4 +95,11 @@ func TestCombinedSweepConsistentWithPointwise(t *testing.T) {
 			}
 		}
 	}
+}
+
+// missSeries is one method's per-size curve of a sweep.
+func missSeries(k stencil.Kernel, m core.Method, opt Options) ([]MissPoint, error) {
+	opt.Methods = []core.Method{m}
+	sweep, err := MissSweep(k, opt)
+	return sweep[m], err
 }

@@ -39,15 +39,6 @@ type Config struct {
 // Lines returns the number of cache lines.
 func (c Config) Lines() int { return c.SizeBytes / c.LineBytes }
 
-// Sets returns the number of cache sets.
-func (c Config) Sets() int {
-	a := c.Assoc
-	if a <= 0 {
-		a = 1
-	}
-	return c.Lines() / a
-}
-
 // Elems returns the capacity in array elements of the given size, the unit
 // the paper's algorithms work in (C_s). A 16KB cache holds 2048 doubles.
 func (c Config) Elems(elemSize int) int { return c.SizeBytes / elemSize }
@@ -141,14 +132,6 @@ func (s Stats) MissRate() float64 {
 	return 100 * float64(s.Misses()) / float64(a)
 }
 
-// LoadMissRate returns load misses / loads in percent.
-func (s Stats) LoadMissRate() float64 {
-	if s.Loads == 0 {
-		return 0
-	}
-	return 100 * float64(s.LoadMisses) / float64(s.Loads)
-}
-
 // Add accumulates other into s.
 func (s *Stats) Add(other Stats) {
 	s.Loads += other.Loads
@@ -157,14 +140,6 @@ func (s *Stats) Add(other Stats) {
 	s.StoreMisses += other.StoreMisses
 	s.Writebacks += other.Writebacks
 	s.Prefetches += other.Prefetches
-}
-
-// TrafficBytes estimates the memory traffic below a write-back cache
-// level: a line filled per miss plus a line written per writeback. For a
-// write-through level the store traffic is the stores themselves and is
-// not included here.
-func (s Stats) TrafficBytes(lineBytes int) uint64 {
-	return (s.Misses() + s.Writebacks) * uint64(lineBytes)
 }
 
 // Cache simulates one cache level.
@@ -185,16 +160,11 @@ type Cache struct {
 	clock uint64
 
 	stats Stats
-
-	// memo caches the batched-replay conflict partition (replay.go);
-	// self lets the single-level ReplayRuns share the hierarchy engine.
-	memo replayMemo
-	self [1]*Cache
 }
 
-// New builds a cache level, returning an error for an invalid geometry
-// (see Config.Validate). Use MustNew for geometries known good by
-// construction.
+// New builds an empty cache level, returning an error for an invalid
+// geometry (see Config.Validate). Hierarchies of geometries known good
+// by construction come from MustHierarchy.
 func New(cfg Config) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -216,42 +186,14 @@ func New(cfg Config) (*Cache, error) {
 		c.setMask = int64(c.sets - 1)
 	}
 	c.tags = make([]int64, c.sets*assoc)
+	for i := range c.tags {
+		c.tags[i] = -1 // empty
+	}
 	c.dirty = make([]bool, c.sets*assoc)
 	if assoc > 1 {
 		c.stamp = make([]uint64, c.sets*assoc)
 	}
-	c.Reset()
 	return c, nil
-}
-
-// MustNew builds a cache level and panics on an invalid geometry. It is
-// the constructor for configurations that are valid by construction
-// (the paper's fixed machines, geometries already vetted by
-// Config.Validate); code handling external input should use New.
-func MustNew(cfg Config) *Cache {
-	c, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
-// Config returns the geometry the cache was built with.
-func (c *Cache) Config() Config { return c.cfg }
-
-// Reset empties the cache and zeroes its statistics.
-func (c *Cache) Reset() {
-	for i := range c.tags {
-		c.tags[i] = -1
-	}
-	for i := range c.dirty {
-		c.dirty[i] = false
-	}
-	for i := range c.stamp {
-		c.stamp[i] = 0
-	}
-	c.clock = 0
-	c.stats = Stats{}
 }
 
 // ResetStats zeroes the statistics without emptying the cache, so warm-up
@@ -351,31 +293,4 @@ func (c *Cache) Store(addr int64) bool {
 		c.dirty[slot] = true
 	}
 	return false
-}
-
-// Contains reports whether the line holding addr is present, without
-// updating statistics or LRU state.
-func (c *Cache) Contains(addr int64) bool {
-	line := addr >> c.lineShift
-	if c.assoc == 1 {
-		return c.tags[c.set(line)] == line
-	}
-	base := c.set(line) * c.assoc
-	for w := 0; w < c.assoc; w++ {
-		if c.tags[base+w] == line {
-			return true
-		}
-	}
-	return false
-}
-
-// Occupancy returns the number of valid lines currently held.
-func (c *Cache) Occupancy() int {
-	n := 0
-	for _, t := range c.tags {
-		if t != -1 {
-			n++
-		}
-	}
-	return n
 }

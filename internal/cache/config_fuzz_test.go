@@ -28,15 +28,15 @@ func FuzzConfigGeometry(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if c.Config() != cfg {
-			t.Errorf("config round trip: %+v != %+v", c.Config(), cfg)
+		if c.cfg != cfg {
+			t.Errorf("config round trip: %+v != %+v", c.cfg, cfg)
 		}
 		a := assoc
 		if a <= 0 {
 			a = 1
 		}
-		if cfg.Lines() <= 0 || cfg.Sets() <= 0 || cfg.Lines() != cfg.Sets()*a {
-			t.Errorf("inconsistent geometry for %+v: lines=%d sets=%d", cfg, cfg.Lines(), cfg.Sets())
+		if cfg.Lines() <= 0 || sets(cfg) <= 0 || cfg.Lines() != sets(cfg)*a {
+			t.Errorf("inconsistent geometry for %+v: lines=%d sets=%d", cfg, cfg.Lines(), sets(cfg))
 		}
 		// A few accesses across the index space must not panic, and the
 		// stats must account for every one of them.

@@ -139,8 +139,8 @@ func (s *Steady) beginRecord() {
 	if !d.recording {
 		return
 	}
-	d.cur = &steadyPhase{total: make([]Stats, len(s.levels))}
-	for li, c := range s.levels {
+	d.cur = &steadyPhase{total: make([]Stats, len(s.h.levels))}
+	for li, c := range s.h.levels {
 		d.cur.total[li] = c.stats
 	}
 	d.recs = append(d.recs, nil)
@@ -152,10 +152,10 @@ func (s *Steady) archivePhase() {
 	r := s.dl.cur
 	s.dl.cur = nil
 	r.delta, r.planes, r.level = s.delta, s.planes, s.level
-	r.endTags = make([][]int64, len(s.levels))
-	r.endDirty = make([][]bool, len(s.levels))
-	r.endStamp = make([][]uint64, len(s.levels))
-	for li, c := range s.levels {
+	r.endTags = make([][]int64, len(s.h.levels))
+	r.endDirty = make([][]bool, len(s.h.levels))
+	r.endStamp = make([][]uint64, len(s.h.levels))
+	for li, c := range s.h.levels {
 		r.total[li] = subStats(c.stats, r.total[li])
 		for i := range r.pins {
 			r.pins[i].rest[li] = subStats(c.stats, r.pins[i].rest[li])
@@ -283,7 +283,7 @@ func (s *Steady) diverged(mk PlaneMark) {
 // commitRecord adds stats to the levels and restores record r's raw end
 // state.
 func (s *Steady) commitRecord(r *steadyPhase, stats []Stats) {
-	for li, c := range s.levels {
+	for li, c := range s.h.levels {
 		c.stats.Add(stats[li])
 		copy(c.tags, r.endTags[li])
 		copy(c.dirty, r.endDirty[li])
@@ -296,7 +296,7 @@ func (s *Steady) commitRecord(r *steadyPhase, stats []Stats) {
 // (tag, dirty); any set-associative level makes this conservatively
 // false (raw stamps are not order-normalized).
 func (s *Steady) deltaEndStateEq(r *steadyPhase) bool {
-	for li, c := range s.levels {
+	for li, c := range s.h.levels {
 		if c.assoc != 1 {
 			return false
 		}

@@ -51,9 +51,6 @@ func UltraSparc2() *Hierarchy {
 	return MustHierarchy(UltraSparc2L1(), UltraSparc2L2()) //lint:allow mustcheck -- fixed valid hardware configs
 }
 
-// Levels returns the cache levels, L1 first.
-func (h *Hierarchy) Levels() []*Cache { return h.levels }
-
 // Level returns level i (0 = L1).
 func (h *Hierarchy) Level(i int) *Cache { return h.levels[i] }
 
@@ -75,13 +72,6 @@ func (h *Hierarchy) Store(addr int64) {
 		if c.Store(addr) {
 			return
 		}
-	}
-}
-
-// Reset empties every level and zeroes all statistics.
-func (h *Hierarchy) Reset() {
-	for _, c := range h.levels {
-		c.Reset()
 	}
 }
 

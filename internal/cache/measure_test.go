@@ -117,7 +117,7 @@ func TestSteadyWarmMeasure(t *testing.T) {
 }
 
 // TestSteadyRefusedPhasesRepeat drives repeated identical sweeps of
-// refused phases through a single steady-wrapped cache — one warm-up
+// refused phases through a steady-wrapped one-level hierarchy — one warm-up
 // sweep, a stats reset, then measured sweeps — and checks that
 // statistics and final state stay exactly equal to a raw replay while
 // no 2-plane phase confirms a cycle.
@@ -125,20 +125,21 @@ func TestSteadyRefusedPhasesRepeat(t *testing.T) {
 	cfg := Config{SizeBytes: 1024, LineBytes: 32, Assoc: 1} // 32 sets
 	const sweeps = 6
 
-	c := MustNew(cfg)
-	st := NewSteadyCache(c)
+	h := MustHierarchy(cfg)
+	st := NewSteady(h)
 	refusedSweep(st)
-	c.ResetStats()
+	h.ResetStats()
 	for i := 0; i < sweeps; i++ {
 		refusedSweep(st)
 	}
 
-	raw := MustNew(cfg)
-	refusedSweep(raw)
-	raw.ResetStats()
+	rawH := MustHierarchy(cfg)
+	refusedSweep(rawH)
+	rawH.ResetStats()
 	for i := 0; i < sweeps; i++ {
-		refusedSweep(raw)
+		refusedSweep(rawH)
 	}
+	c, raw := h.Level(0), rawH.Level(0)
 
 	if c.Stats() != raw.Stats() {
 		t.Errorf("stats diverged: steady %+v raw %+v", c.Stats(), raw.Stats())
@@ -157,12 +158,13 @@ func TestSteadyRefusedPhasesRepeat(t *testing.T) {
 // refuse it, and the result must stay bit-identical to a raw replay.
 func TestSteadyBudgetGateRefuses(t *testing.T) {
 	cfg := Config{SizeBytes: 16 << 10, LineBytes: 32, Assoc: 1} // 512 sets
-	raw := MustNew(cfg)
-	scopedPhase(raw)
+	rawH := MustHierarchy(cfg)
+	scopedPhase(rawH)
 
-	c := MustNew(cfg)
-	st := NewSteadyCache(c)
+	h := MustHierarchy(cfg)
+	st := NewSteady(h)
 	scopedPhase(st)
+	c, raw := h.Level(0), rawH.Level(0)
 	if c.Stats() != raw.Stats() {
 		t.Errorf("stats diverged: steady %+v raw %+v", c.Stats(), raw.Stats())
 	}

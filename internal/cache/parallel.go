@@ -126,12 +126,12 @@ func ForEachCtx(ctx context.Context, n, workers int, fn func(i int)) ([]*PointEr
 	return errs, nil
 }
 
-// ForEach runs fn(0..n-1) on up to workers goroutines with no
+// forEach runs fn(0..n-1) on up to workers goroutines with no
 // cancellation. A panic in any fn is re-raised in the caller (as a
 // *PointError carrying the original cause and stack) after the remaining
 // indices finish, so a caller that does not isolate points still
 // observes the failure deterministically.
-func ForEach(n, workers int, fn func(i int)) {
+func forEach(n, workers int, fn func(i int)) {
 	errs, _ := ForEachCtx(context.Background(), n, workers, fn)
 	if len(errs) > 0 {
 		panic(errs[0])

@@ -76,10 +76,10 @@ func TestForEachRepanics(t *testing.T) {
 			t.Errorf("recovered %v, want *PointError for index 2", r)
 		}
 	}()
-	ForEach(5, 2, func(i int) {
+	forEach(5, 2, func(i int) {
 		if i == 2 {
 			panic("boom")
 		}
 	})
-	t.Error("ForEach did not re-panic")
+	t.Error("forEach did not re-panic")
 }

@@ -115,15 +115,6 @@ func (h *Hierarchy) ReplayRuns(runs []Run) {
 	replayRuns(h.levels, runs, &h.memo)
 }
 
-// ReplayRuns replays a batched trace through a single cache level,
-// identically to expanding the runs into per-access calls.
-func (c *Cache) ReplayRuns(runs []Run) {
-	if c.self[0] != c {
-		c.self[0] = c
-	}
-	replayRuns(c.self[:], runs, &c.memo)
-}
-
 func replayRuns(levels []*Cache, runs []Run, memo *replayMemo) {
 	if len(levels) == 0 {
 		return

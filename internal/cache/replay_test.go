@@ -138,8 +138,8 @@ func TestReplayRunsMatchesPerAccess(t *testing.T) {
 	}
 }
 
-// TestReplayRunsSingleLevel drives the *Cache (not Hierarchy) batched
-// entry point.
+// TestReplayRunsSingleLevel drives a one-level hierarchy's batched entry
+// point against a bare cache fed per access.
 func TestReplayRunsSingleLevel(t *testing.T) {
 	for _, cfg := range []Config{
 		{SizeBytes: 256, LineBytes: 32},
@@ -147,12 +147,12 @@ func TestReplayRunsSingleLevel(t *testing.T) {
 		{SizeBytes: 1536, LineBytes: 32},
 	} {
 		rng := rand.New(rand.NewSource(7))
-		want, got := MustNew(cfg), MustNew(cfg)
+		want, got := mustNew(cfg), MustHierarchy(cfg)
 		for trial := 0; trial < 30; trial++ {
 			runs := randRuns(rng, 10)
 			ExpandRuns(runs, perAccessCache{want})
 			got.ReplayRuns(runs)
-			checkSameState(t, fmt.Sprintf("%v trial %d", cfg, trial), []*Cache{want}, []*Cache{got})
+			checkSameState(t, fmt.Sprintf("%v trial %d", cfg, trial), []*Cache{want}, got.levels)
 			if t.Failed() {
 				return
 			}
@@ -380,7 +380,7 @@ func TestReplayMemoKeyIncludesAlignmentAndCount(t *testing.T) {
 // same-index-only comparison would miss: two runs whose line intervals
 // overlap modulo the set count only at different lockstep indices.
 func TestRunsMayShareSet(t *testing.T) {
-	c := MustNew(Config{SizeBytes: 256, LineBytes: 32}) // 8 sets
+	c := mustNew(Config{SizeBytes: 256, LineBytes: 32}) // 8 sets
 	levels := []*Cache{c}
 	a := Run{Base: 0, Stride: 8, Count: 20}    // lines 0..4
 	b := Run{Base: 1184, Stride: 8, Count: 20} // lines 37..41 ≡ 5..1 (mod 8): wraps onto a
@@ -396,7 +396,7 @@ func TestRunsMayShareSet(t *testing.T) {
 func TestForEachCoversAllIndices(t *testing.T) {
 	for _, workers := range []int{0, 1, 3, 64} {
 		hits := make([]int32, 113)
-		ForEach(len(hits), workers, func(i int) { hits[i]++ })
+		forEach(len(hits), workers, func(i int) { hits[i]++ })
 		for i, h := range hits {
 			if h != 1 {
 				t.Fatalf("workers=%d: index %d visited %d times", workers, i, h)

@@ -137,18 +137,6 @@ func (r *RunRecorder) Reset() {
 	r.Marks = r.Marks[:0]
 }
 
-// Accesses returns the total number of accesses the recorded trace
-// encodes.
-func (r *RunRecorder) Accesses() uint64 {
-	var n uint64
-	for _, run := range r.Runs {
-		if run.Count > 0 {
-			n += uint64(run.Count)
-		}
-	}
-	return n
-}
-
 // ReplayRuns counts the batch without expanding it.
 func (m *NullMemory) ReplayRuns(runs []Run) {
 	for _, r := range runs {
@@ -163,19 +151,11 @@ func (m *NullMemory) ReplayRuns(runs []Run) {
 	}
 }
 
-// Reset zeroes the counters.
-func (m *NullMemory) Reset() { *m = NullMemory{} }
-
 // ReplayRuns records the expanded access stream.
 func (r *Recorder) ReplayRuns(runs []Run) { ExpandRuns(runs, r) }
 
-// Reset discards the recorded stream, keeping the backing storage so a
-// recorder can be reused across sweeps without reallocating.
-func (r *Recorder) Reset() { r.Ops = r.Ops[:0] }
-
 var (
 	_ RunSink   = (*Hierarchy)(nil)
-	_ RunSink   = (*Cache)(nil)
 	_ RunSink   = (*NullMemory)(nil)
 	_ RunSink   = (*Recorder)(nil)
 	_ RunSink   = (*RunRecorder)(nil)

@@ -13,7 +13,7 @@ import "fmt"
 //
 // The walkers cooperate by emitting a PlaneMark after each phase unit
 // (an untiled k-plane, a tile-row, a 2D row ...). The Steady engine sits
-// between a walker and a Hierarchy/Cache as a RunSink and runs a small
+// between a walker and a Hierarchy as a RunSink and runs a small
 // state machine per phase:
 //
 //   observe   replay every batch and record the unit's runs (the
@@ -52,11 +52,11 @@ import "fmt"
 // (same hits, misses, evictions) to the unit one period earlier, so each
 // whole period contributes exactly the measured cycle stats and
 // translates the state by TΔ. Normalization is only possible when the
-// translation distance is line-aligned at every level (and page-aligned
-// when a TLB is attached): the engine snapshots only at unit indices
-// divisible by t0 = max over levels of lineBytes/gcd(Δ, lineBytes) and
-// refuses steadiness (falls back to full replay) when t0 exceeds
-// maxPeriod — the "pathological padding" case — when Δ is not constant
+// translation distance is line-aligned at every level: the engine
+// snapshots only at unit indices divisible by t0 = max over levels of
+// lineBytes/gcd(Δ, lineBytes) and refuses steadiness (falls back to full
+// replay) when t0 exceeds maxPeriod — the "pathological padding" case —
+// when Δ is not constant
 // across arrays (the walkers emit Δ=0 then), or when a phase unit's
 // work is too small to amortize the snapshots.
 
@@ -158,13 +158,12 @@ type steadyPin struct {
 	rest []Stats
 }
 
-// Steady is the steady-state engine: a PlaneSink that wraps a Hierarchy,
-// a single Cache, or a MemoryWithTLB and produces bit-identical
-// statistics and final state to replaying every batch directly.
+// Steady is the steady-state engine: a PlaneSink that wraps a Hierarchy
+// and produces bit-identical statistics and final state to replaying
+// every batch directly.
 type Steady struct {
-	raw    RunSink
-	levels []*Cache // cache levels, TLB (if any) last
-	slots  int      // total cache slots across levels
+	h     *Hierarchy
+	slots int // total cache slots across levels
 
 	// MinUnitAccesses gates detection: phases whose first unit issues
 	// fewer accesses than this replay in full (snapshots would cost more
@@ -217,8 +216,7 @@ type Steady struct {
 	// warm-up sweep and serves measured sweeps from those records.
 	dl deltaState
 
-	skipped uint64
-	cycles  uint64
+	cycles uint64
 }
 
 // maxUnitRuns bounds the recorded pattern of a single unit; a phase
@@ -244,33 +242,12 @@ const maxPeriod = 8
 // returned sink produces statistics and final state bit-identical to
 // feeding the hierarchy directly.
 func NewSteady(h *Hierarchy) *Steady {
-	return newSteady(h, h.levels)
-}
-
-// NewSteadyCache wraps a single cache level.
-func NewSteadyCache(c *Cache) *Steady {
-	c.self[0] = c // normally set lazily by the cache's own ReplayRuns
-	return newSteady(c, c.self[:])
-}
-
-// NewSteadyTLB wraps a combined cache+TLB model. The TLB state is part
-// of the cycle fingerprint, so steadiness additionally requires the
-// translation distance to be page-aligned; phases that are not refuse
-// steadiness and replay in full.
-func NewSteadyTLB(m *MemoryWithTLB) *Steady {
-	levels := make([]*Cache, 0, len(m.Caches.levels)+1)
-	levels = append(levels, m.Caches.levels...)
-	levels = append(levels, m.TLB)
-	return newSteady(m, levels)
-}
-
-func newSteady(raw RunSink, levels []*Cache) *Steady {
-	s := &Steady{raw: raw, levels: levels}
-	for _, c := range levels {
+	s := &Steady{h: h}
+	for _, c := range h.levels {
 		s.slots += len(c.tags)
 	}
-	s.baseline = make([]Stats, len(levels))
-	s.cycleStats = make([]Stats, len(levels))
+	s.baseline = make([]Stats, len(h.levels))
+	s.cycleStats = make([]Stats, len(h.levels))
 	return s
 }
 
@@ -291,6 +268,9 @@ type SteadyDiag struct {
 	RefusedBudget  uint64 // unit work too small to amortize detection
 	RefusedT0      uint64 // alignment factor t0 exceeds the period cap (8)
 	RefusedShort   uint64 // too few units for the alignment factor
+	// Skipped counts the phase units committed by cycle extrapolation
+	// instead of simulated. String leaves it out.
+	Skipped uint64
 }
 
 // String renders the counters compactly for -v diagnostics.
@@ -306,10 +286,6 @@ func (s *Steady) Diag() SteadyDiag {
 	d.Confirmed = s.cycles
 	return d
 }
-
-// SkippedPlanes returns the number of phase units whose simulation was
-// skipped by cycle extrapolation.
-func (s *Steady) SkippedPlanes() uint64 { return s.skipped }
 
 // ReplayRuns feeds one batch through the engine.
 func (s *Steady) ReplayRuns(runs []Run) {
@@ -388,7 +364,7 @@ func (s *Steady) PlaneMark(mk PlaneMark) {
 func (s *Steady) SkipRest() bool { return s.mode == steadyDrain }
 
 func (s *Steady) replay(runs []Run) {
-	s.raw.ReplayRuns(runs)
+	s.h.ReplayRuns(runs)
 }
 
 func (s *Steady) beginPhase() {
@@ -412,7 +388,7 @@ func (s *Steady) ensureBaseline() {
 	if s.started {
 		return
 	}
-	for i, c := range s.levels {
+	for i, c := range s.h.levels {
 		s.baseline[i] = c.stats
 	}
 	s.started = true
@@ -526,7 +502,7 @@ func (s *Steady) phaseViable() bool {
 		return false
 	}
 	s.t0 = 1
-	for _, c := range s.levels {
+	for _, c := range s.h.levels {
 		lb := int64(c.cfg.LineBytes)
 		f := int(lb / gcd64(s.delta, lb))
 		if f > s.t0 {
@@ -571,9 +547,9 @@ func (s *Steady) finishUnit() bool {
 	e.unit = s.unit
 	e.anchor = a
 	if e.delta == nil {
-		e.delta = make([]Stats, len(s.levels))
+		e.delta = make([]Stats, len(s.h.levels))
 	}
-	for i, c := range s.levels {
+	for i, c := range s.h.levels {
 		e.delta[i] = subStats(c.stats, s.baseline[i])
 	}
 	return true
@@ -613,11 +589,11 @@ func (s *Steady) takeSnapshot() {
 	sn := &s.snaps[(s.unit/s.t0)%len(s.snaps)]
 	sn.unit = s.unit
 	if sn.data == nil {
-		sn.data = make([][]int64, len(s.levels))
-		sn.cum = make([]Stats, len(s.levels))
+		sn.data = make([][]int64, len(s.h.levels))
+		sn.cum = make([]Stats, len(s.h.levels))
 	}
 	h := uint64(14695981039346656037)
-	for li, c := range s.levels {
+	for li, c := range s.h.levels {
 		dLine := (int64(s.unit) * s.delta) >> c.lineShift
 		if cap(sn.data[li]) < len(c.tags) {
 			sn.data[li] = make([]int64, len(c.tags))
@@ -740,7 +716,7 @@ func (s *Steady) confirmCycle(T int) {
 	// exactly what detection itself is about to skip.
 	s.forcePin()
 	cur, prev := s.snapAt(s.unit), s.snapAt(s.unit-T)
-	for i := range s.levels {
+	for i := range s.h.levels {
 		s.cycleStats[i] = subStats(cur.cum[i], prev.cum[i])
 	}
 	s.period = T
@@ -872,7 +848,7 @@ func (s *Steady) replayShifted(runs []Run, off int64) {
 // linearly and the state translates by the skipped distance.
 func (s *Steady) applySkip(m int) {
 	d := int64(m) * int64(s.period) * s.delta
-	for i, c := range s.levels {
+	for i, c := range s.h.levels {
 		cs := s.cycleStats[i]
 		mm := uint64(m)
 		c.stats.Loads += cs.Loads * mm
@@ -883,7 +859,7 @@ func (s *Steady) applySkip(m int) {
 		c.stats.Prefetches += cs.Prefetches * mm
 		s.translateCache(c, d)
 	}
-	s.skipped += uint64(m * s.period)
+	s.diag.Skipped += uint64(m * s.period)
 }
 
 // translateCache shifts every resident line by d bytes: tags advance by
@@ -954,8 +930,8 @@ func (s *Steady) forcePin() {
 	if r == nil || !s.pinsOK || s.unit > s.planes-2 || r.pinAt(s.unit) != nil {
 		return
 	}
-	pin := steadyPin{unit: s.unit, data: make([][]int64, len(s.levels)), rest: make([]Stats, len(s.levels))}
-	for li, c := range s.levels {
+	pin := steadyPin{unit: s.unit, data: make([][]int64, len(s.h.levels)), rest: make([]Stats, len(s.h.levels))}
+	for li, c := range s.h.levels {
 		pin.data[li] = make([]int64, len(c.tags))
 		s.encodeLevel(c, 0, pin.data[li], 0)
 		pin.rest[li] = c.stats
@@ -967,9 +943,9 @@ func (s *Steady) forcePin() {
 // comparison scratch buffer.
 func (s *Steady) encodeCurrent() {
 	if s.encScratch == nil {
-		s.encScratch = make([][]int64, len(s.levels))
+		s.encScratch = make([][]int64, len(s.h.levels))
 	}
-	for li, c := range s.levels {
+	for li, c := range s.h.levels {
 		if cap(s.encScratch[li]) < len(c.tags) {
 			s.encScratch[li] = make([]int64, len(c.tags))
 		}

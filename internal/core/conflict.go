@@ -7,7 +7,7 @@ package core
 // approximate; the tests check every candidate they emit against it.
 //
 // Element granularity, like the paper: two elements conflict only when
-// their addresses are congruent mod cs. See SelfConflictsLines for the
+// their addresses are congruent mod cs. See selfConflictsLines for the
 // conservative line-granularity variant.
 func SelfConflicts(cs, di, dj, ti, tj, tk int) bool {
 	if cs <= 0 || di <= 0 || dj <= 0 || ti <= 0 || tj <= 0 || tk <= 0 {
@@ -37,7 +37,7 @@ func SelfConflicts(cs, di, dj, ti, tj, tk int) bool {
 	return false
 }
 
-// SelfConflictsLines is the line-granularity version of SelfConflicts:
+// selfConflictsLines is the line-granularity version of SelfConflicts:
 // two tile elements conflict when their cache lines are distinct in
 // memory but map to the same cache set of a direct-mapped cache with
 // csBytes capacity and lineBytes lines. Column segments whose ends share
@@ -46,19 +46,19 @@ func SelfConflicts(cs, di, dj, ti, tj, tk int) bool {
 // elemSize is the element size in bytes.
 //
 // The array base is assumed line-aligned (anchor 0), which holds for
-// large allocations in practice; see SelfConflictsLinesWorstCase for the
+// large allocations in practice; see selfConflictsLinesWorstCase for the
 // alignment-independent check. Misalignment adds at most one shared
 // boundary set per pair of cache-adjacent segments — tiles that are
 // aligned-clean but misaligned-dirty lose a sliver, not the tile.
-func SelfConflictsLines(csBytes, lineBytes, elemSize, di, dj, ti, tj, tk int) bool {
+func selfConflictsLines(csBytes, lineBytes, elemSize, di, dj, ti, tj, tk int) bool {
 	validateLineGeometry(csBytes, lineBytes, elemSize)
 	return selfConflictsLinesAt(csBytes/lineBytes, lineElems(lineBytes, elemSize), di, dj, ti, tj, tk, 0)
 }
 
-// SelfConflictsLinesWorstCase repeats the check for every possible base
+// selfConflictsLinesWorstCase repeats the check for every possible base
 // misalignment within a line and reports a conflict if any anchor
 // produces one.
-func SelfConflictsLinesWorstCase(csBytes, lineBytes, elemSize, di, dj, ti, tj, tk int) bool {
+func selfConflictsLinesWorstCase(csBytes, lineBytes, elemSize, di, dj, ti, tj, tk int) bool {
 	validateLineGeometry(csBytes, lineBytes, elemSize)
 	le := lineElems(lineBytes, elemSize)
 	sets := csBytes / lineBytes

@@ -73,8 +73,8 @@ func (t ArrayTile) String() string {
 	return fmt.Sprintf("(TI=%d, TJ=%d, TK=%d)", t.TI, t.TJ, t.TK)
 }
 
-// Elems returns the tile volume in elements.
-func (t ArrayTile) Elems() int { return t.TI * t.TJ * t.TK }
+// elems returns the tile volume in elements.
+func (t ArrayTile) elems() int { return t.TI * t.TJ * t.TK }
 
 // Trim converts an array tile to the iteration tile it supports under st.
 // The result may be invalid (non-positive extents) for pathologically thin
@@ -111,8 +111,8 @@ type Plan struct {
 	Cost float64
 }
 
-// PadI returns the number of elements of padding added to DI.
-func (p Plan) PadI(origDI int) int { return p.DI - origDI }
+// padI returns the number of elements of padding added to DI.
+func (p Plan) padI(origDI int) int { return p.DI - origDI }
 
-// PadJ returns the number of elements of padding added to DJ.
-func (p Plan) PadJ(origDJ int) int { return p.DJ - origDJ }
+// padJ returns the number of elements of padding added to DJ.
+func (p Plan) padJ(origDJ int) int { return p.DJ - origDJ }

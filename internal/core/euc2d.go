@@ -1,6 +1,6 @@
 package core
 
-// EucClassic computes the classical Euclidean-recurrence tile candidates
+// eucClassic computes the classical Euclidean-recurrence tile candidates
 // for a 2D column-major array with leading dimension di in a direct-mapped
 // cache of cs elements (the Euc algorithm of Rivera & Tseng, CC'99, built
 // on Coleman & McKinley's recurrences). The remainder sequence
@@ -19,9 +19,9 @@ package core
 // Candidates are returned in decreasing-TI order. The three-distance
 // theorem guarantees each candidate is conflict-free; Frontier(cs, di, 1, 0)
 // computes the same set exactly and the tests assert they agree.
-func EucClassic(cs, di int) []FrontierEntry {
+func eucClassic(cs, di int) []FrontierEntry {
 	if cs <= 0 || di <= 0 {
-		panic("core: EucClassic requires positive cs and di")
+		panic("core: eucClassic requires positive cs and di")
 	}
 	out := []FrontierEntry{{TJ: 1, TI: cs}}
 	rPrev, r := cs, di%cs
@@ -40,14 +40,14 @@ func EucClassic(cs, di int) []FrontierEntry {
 	return out
 }
 
-// Euc selects the minimum-cost iteration tile for a 2D array (TK = depth
-// in the 3D sense fixed at 1): the CC'99 Euc algorithm. Used by the 2D
-// motivation experiments and as a building block of comparisons.
-func Euc(cs, di int, st Stencil) Tile {
+// euc selects the minimum-cost iteration tile for a 2D array (TK = depth
+// in the 3D sense fixed at 1): the CC'99 Euc algorithm, which Euc3D
+// generalizes.
+func euc(cs, di int, st Stencil) Tile {
 	st.validate()
 	best := Tile{}
 	bestCost := Cost(best, st)
-	for _, e := range EucClassic(cs, di) {
+	for _, e := range eucClassic(cs, di) {
 		t := ArrayTile{TI: e.TI, TJ: e.TJ, TK: 1}.Trim(st)
 		if c := Cost(t, st); c < bestCost {
 			best, bestCost = t, c

@@ -165,17 +165,17 @@ func TestEucClassicMatchesFrontier2D(t *testing.T) {
 		{2048, 200}, {2048, 341}, {2048, 256}, {1024, 300}, {4096, 130},
 		{2048, 2047}, {2048, 3}, {512, 512},
 	} {
-		got := EucClassic(c.cs, c.di)
+		got := eucClassic(c.cs, c.di)
 		want := Frontier(c.cs, c.di, 1, 1, 0)
 		if len(got) != len(want) {
-			t.Fatalf("cs=%d di=%d: EucClassic %v, frontier %v", c.cs, c.di, got, want)
+			t.Fatalf("cs=%d di=%d: eucClassic %v, frontier %v", c.cs, c.di, got, want)
 		}
-		// EucClassic orders by decreasing TI; Frontier by increasing TJ.
+		// eucClassic orders by decreasing TI; Frontier by increasing TJ.
 		// Both orders must agree element-wise after reversal when TJ is
 		// strictly increasing in the remainder sequence.
 		for i := range got {
 			if got[i] != want[i] {
-				t.Errorf("cs=%d di=%d entry %d: EucClassic %v, frontier %v", c.cs, c.di, i, got[i], want[i])
+				t.Errorf("cs=%d di=%d entry %d: eucClassic %v, frontier %v", c.cs, c.di, i, got[i], want[i])
 			}
 		}
 	}

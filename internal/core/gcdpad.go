@@ -77,11 +77,10 @@ func padToOddMultiple(d, t int) int {
 	return 2*t*((d+3*t-1)/(2*t)) - t
 }
 
-// Log2 returns floor(log2(x)) for x >= 1. Exposed for the cost analyses in
-// the bench package.
-func Log2(x int) int {
+// log2 returns floor(log2(x)) for x >= 1.
+func log2(x int) int {
 	if x < 1 {
-		panic("core: Log2 of non-positive value")
+		panic("core: log2 of non-positive value")
 	}
 	return bits.Len(uint(x)) - 1
 }

@@ -5,18 +5,18 @@ package core
 // for unit-line caches and a very good approximation otherwise — but a
 // tile that is element-wise conflict-free can still collide at line
 // granularity when two column segments from different columns occupy
-// the same cache set through partial lines at their ends. RefineForLines
+// the same cache set through partial lines at their ends. refineForLines
 // checks a selected plan against the real line geometry and, if needed,
 // shrinks the tile until it is conflict-free there too.
 
 import "tiling3d/internal/cache"
 
-// RefineForLines validates plan's array tile at line granularity for the
+// refineForLines validates plan's array tile at line granularity for the
 // given cache geometry and element size, shrinking TI and then TJ (the
 // cost model prefers losing the longer dimension's excess first) until
 // the tile is conflict-free. Untiled plans pass through. The boolean
 // reports whether the plan was already clean.
-func RefineForLines(plan Plan, cfg cache.Config, elemSize int, st Stencil) (Plan, bool) {
+func refineForLines(plan Plan, cfg cache.Config, elemSize int, st Stencil) (Plan, bool) {
 	if !plan.Tiled {
 		return plan, true
 	}
@@ -24,7 +24,7 @@ func RefineForLines(plan Plan, cfg cache.Config, elemSize int, st Stencil) (Plan
 		if !t.Valid() {
 			return false
 		}
-		return !SelfConflictsLines(cfg.SizeBytes, cfg.LineBytes, elemSize,
+		return !selfConflictsLines(cfg.SizeBytes, cfg.LineBytes, elemSize,
 			plan.DI, plan.DJ, t.TI+st.TrimI, t.TJ+st.TrimJ, st.Depth)
 	}
 	if ok(plan.Tile) {

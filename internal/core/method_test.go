@@ -71,11 +71,11 @@ func TestSelectPanicsOnUnknown(t *testing.T) {
 
 func TestEuc2DSelection(t *testing.T) {
 	st := Stencil{TrimI: 2, TrimJ: 2, Depth: 1}
-	tile := Euc(2048, 200, st)
+	tile := euc(2048, 200, st)
 	// From the Table 1 TK=1 row, (TI=48, TJ=41) trims to (46, 39) with
 	// the best cost among the candidates.
 	if tile.TI != 46 || tile.TJ != 39 {
-		t.Errorf("Euc(2048, 200) = %v, want (46, 39)", tile)
+		t.Errorf("euc(2048, 200) = %v, want (46, 39)", tile)
 	}
 }
 
@@ -87,8 +87,8 @@ func TestEffCacheSmallerThanFullCache(t *testing.T) {
 		t.Errorf("EffCache tile %v not smaller than full-cache %v", eff.Tile, full.Tile)
 	}
 	at := ArrayTile{TI: eff.Tile.TI + 2, TJ: eff.Tile.TJ + 2, TK: 3}
-	if at.Elems() > 2048/4 {
-		t.Errorf("EffCache footprint %d too large for a 10%% target", at.Elems())
+	if at.elems() > 2048/4 {
+		t.Errorf("EffCache footprint %d too large for a 10%% target", at.elems())
 	}
 	defer func() {
 		if recover() == nil {
@@ -100,15 +100,15 @@ func TestEffCacheSmallerThanFullCache(t *testing.T) {
 
 func TestPlanPadAccessors(t *testing.T) {
 	p := GcdPad(2048, 250, 250, Jacobi6pt())
-	if p.PadI(250) != p.DI-250 || p.PadJ(250) != p.DJ-250 {
+	if p.padI(250) != p.DI-250 || p.padJ(250) != p.DJ-250 {
 		t.Error("PadI/PadJ inconsistent")
 	}
 }
 
 func TestArrayTileHelpers(t *testing.T) {
 	at := ArrayTile{TI: 4, TJ: 5, TK: 3}
-	if at.Elems() != 60 {
-		t.Errorf("Elems = %d", at.Elems())
+	if at.elems() != 60 {
+		t.Errorf("Elems = %d", at.elems())
 	}
 	if got := at.String(); got != "(TI=4, TJ=5, TK=3)" {
 		t.Errorf("String = %q", got)
@@ -126,16 +126,16 @@ func TestArrayTileHelpers(t *testing.T) {
 
 func TestLog2(t *testing.T) {
 	for _, c := range []struct{ in, want int }{{1, 0}, {2, 1}, {3, 1}, {2048, 11}, {2049, 11}} {
-		if got := Log2(c.in); got != c.want {
-			t.Errorf("Log2(%d) = %d, want %d", c.in, got, c.want)
+		if got := log2(c.in); got != c.want {
+			t.Errorf("log2(%d) = %d, want %d", c.in, got, c.want)
 		}
 	}
 	defer func() {
 		if recover() == nil {
-			t.Error("Log2(0) did not panic")
+			t.Error("log2(0) did not panic")
 		}
 	}()
-	Log2(0)
+	log2(0)
 }
 
 func TestSelfConflictsLinesWorstCase(t *testing.T) {
@@ -143,10 +143,10 @@ func TestSelfConflictsLinesWorstCase(t *testing.T) {
 	// check misses: the GcdPad tile on its padded dims is aligned-clean
 	// but worst-case-dirty (adjacent segments share a boundary set when
 	// the base is not line-aligned).
-	if SelfConflictsLines(16<<10, 32, 8, 352, 304, 32, 16, 4) {
+	if selfConflictsLines(16<<10, 32, 8, 352, 304, 32, 16, 4) {
 		t.Fatal("aligned check flags the GcdPad tile")
 	}
-	if !SelfConflictsLinesWorstCase(16<<10, 32, 8, 352, 304, 32, 16, 4) {
+	if !selfConflictsLinesWorstCase(16<<10, 32, 8, 352, 304, 32, 16, 4) {
 		t.Skip("worst-case anchors happen to stay clean for this shape")
 	}
 }

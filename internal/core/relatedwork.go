@@ -3,11 +3,11 @@ package core
 // Related-work algorithms the paper positions itself against (Section 5),
 // implemented for the ablation benchmarks.
 
-// Esseghir computes the "tall tile" of Esseghir's thesis: the maximum
+// esseghir computes the "tall tile" of Esseghir's thesis: the maximum
 // number of whole array columns that fit in cache, with no attention to
 // conflicts. For 3D stencils the tile must span the array tile depth, so
 // TJ = C_s / (DI * Depth) columns of height DI.
-func Esseghir(cs, di int, st Stencil) Plan {
+func esseghir(cs, di int, st Stencil) Plan {
 	st.validate()
 	tj := cs / (di * st.Depth)
 	ti := di

@@ -6,12 +6,12 @@ func TestEsseghirTallTiles(t *testing.T) {
 	st := Jacobi6pt()
 	// 2048-element cache, 100-column array, depth 3: 2048/(100*3) = 6
 	// whole columns.
-	p := Esseghir(2048, 100, st)
+	p := esseghir(2048, 100, st)
 	if p.Tile.TJ != 6-st.TrimJ || p.Tile.TI != 100-st.TrimI {
-		t.Errorf("Esseghir(2048, 100) = %v, want tall tile (98, 4)", p.Tile)
+		t.Errorf("esseghir(2048, 100) = %v, want tall tile (98, 4)", p.Tile)
 	}
 	// Column larger than cache/depth: degenerate partial column.
-	p = Esseghir(2048, 4000, st)
+	p = esseghir(2048, 4000, st)
 	if p.Tile.TJ > 1 || !p.Tile.Valid() {
 		t.Errorf("degenerate Esseghir = %v", p.Tile)
 	}

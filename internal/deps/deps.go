@@ -95,17 +95,6 @@ func (d Dependence) String() string {
 	return fmt.Sprintf("%s %s distance %s (#%d -> #%d)", d.Kind, d.Array, distString(d.Dist), d.Src, d.Dst)
 }
 
-// Carried returns the name of the outermost loop with nonzero distance,
-// or "" for a loop-independent (same-iteration) dependence.
-func (d Dependence) Carried(n *ir.Nest) string {
-	for i, v := range d.Dist {
-		if v != 0 {
-			return n.Loops[i].Name
-		}
-	}
-	return ""
-}
-
 func distString(dist []int) string {
 	parts := make([]string, len(dist))
 	for i, v := range dist {

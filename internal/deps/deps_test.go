@@ -77,7 +77,7 @@ func TestOrientationAndKinds(t *testing.T) {
 	if got := d.String(); got != "flow A distance (1,0) (#0 -> #1)" {
 		t.Errorf("String = %q", got)
 	}
-	if c := d.Carried(tab.Nest); c != "J" {
+	if c := carried(d, tab.Nest); c != "J" {
 		t.Errorf("Carried = %q", c)
 	}
 
@@ -103,7 +103,7 @@ func TestOrientationAndKinds(t *testing.T) {
 	if d.Kind != Anti || d.Src != 0 || d.Dst != 1 || lexSign(d.Dist) != 0 {
 		t.Errorf("loop-independent dep = %+v", d)
 	}
-	if c := d.Carried(tab.Nest); c != "" {
+	if c := carried(d, tab.Nest); c != "" {
 		t.Errorf("Carried = %q, want loop-independent", c)
 	}
 }
@@ -326,4 +326,15 @@ func TestPermutedSign(t *testing.T) {
 	if s := d.PermutedSign([]int{1, 0}); s != -1 {
 		t.Errorf("swapped sign = %d", s)
 	}
+}
+
+// carried is the name of the outermost loop with nonzero distance, or ""
+// for a loop-independent (same-iteration) dependence.
+func carried(d Dependence, n *ir.Nest) string {
+	for i, v := range d.Dist {
+		if v != 0 {
+			return n.Loops[i].Name
+		}
+	}
+	return ""
 }

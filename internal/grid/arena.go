@@ -10,8 +10,7 @@ package grid
 // storage. An optional inter-variable gap (in elements) can be inserted
 // between consecutive arrays to model inter-variable padding.
 type Arena struct {
-	next  int64
-	grids []addressed
+	next int64
 }
 
 type addressed interface {
@@ -43,7 +42,6 @@ func (a *Arena) Place2D(g *Grid2D) *Grid2D {
 func (a *Arena) place(g addressed) {
 	g.setBase(a.next)
 	a.next += int64(g.elems())
-	a.grids = append(a.grids, g)
 }
 
 // Gap inserts n unused elements between the previous and next placement,
@@ -51,9 +49,3 @@ func (a *Arena) place(g addressed) {
 func (a *Arena) Gap(n int) {
 	a.next += int64(n)
 }
-
-// Size returns the total extent of the arena in elements.
-func (a *Arena) Size() int64 { return a.next }
-
-// Bytes returns the total extent of the arena in bytes.
-func (a *Arena) Bytes() int64 { return a.next * ElemSize }

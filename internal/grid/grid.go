@@ -127,19 +127,6 @@ func (g *Grid3D) Set(i, j, k int, v float64) { g.Data[g.Index(i, j, k)] = v }
 // Elems returns the number of allocated elements, including padding.
 func (g *Grid3D) Elems() int { return g.DI * g.DJ * g.NK }
 
-// LogicalElems returns the number of elements in the logical extent.
-func (g *Grid3D) LogicalElems() int { return g.NI * g.NJ * g.NK }
-
-// Bytes returns the allocated size in bytes, including padding.
-func (g *Grid3D) Bytes() int64 { return int64(g.Elems()) * ElemSize }
-
-// PadOverhead returns the fraction of allocated memory that is padding:
-// (allocated - logical) / logical.
-func (g *Grid3D) PadOverhead() float64 {
-	l := g.LogicalElems()
-	return float64(g.Elems()-l) / float64(l)
-}
-
 // Fill sets every allocated element (padding included) to v.
 func (g *Grid3D) Fill(v float64) {
 	for idx := range g.Data {
@@ -203,12 +190,6 @@ func (g *Grid3D) MaxAbsDiff(other *Grid3D) float64 {
 		}
 	}
 	return m
-}
-
-// EqualApprox reports whether all logical elements of g and other agree to
-// within tol.
-func (g *Grid3D) EqualApprox(other *Grid3D, tol float64) bool {
-	return g.MaxAbsDiff(other) <= tol
 }
 
 // String describes the grid's shape.

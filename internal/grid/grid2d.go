@@ -48,45 +48,8 @@ func Must2DPadded(ni, nj, di int) *Grid2D {
 	return g
 }
 
-// Index returns the flat index of element (i, j).
-func (g *Grid2D) Index(i, j int) int { return i + g.DI*j }
-
-// Addr returns the element address of (i, j) relative to the arena.
-func (g *Grid2D) Addr(i, j int) int64 { return g.base + int64(g.Index(i, j)) }
-
 // Base returns the element offset of the grid within its arena.
 func (g *Grid2D) Base() int64 { return g.base }
 
-// At returns element (i, j).
-func (g *Grid2D) At(i, j int) float64 { return g.Data[g.Index(i, j)] }
-
-// Set stores v into element (i, j).
-func (g *Grid2D) Set(i, j int, v float64) { g.Data[g.Index(i, j)] = v }
-
 // Elems returns the number of allocated elements, including padding.
 func (g *Grid2D) Elems() int { return g.DI * g.NJ }
-
-// Fill sets every allocated element to v.
-func (g *Grid2D) Fill(v float64) {
-	for i := range g.Data {
-		g.Data[i] = v
-	}
-}
-
-// FillFunc sets every logical element to f(i, j).
-func (g *Grid2D) FillFunc(f func(i, j int) float64) {
-	for j := 0; j < g.NJ; j++ {
-		row := g.Index(0, j)
-		for i := 0; i < g.NI; i++ {
-			g.Data[row+i] = f(i, j)
-		}
-	}
-}
-
-// Clone returns a deep copy of the grid.
-func (g *Grid2D) Clone() *Grid2D {
-	c := *g
-	c.Data = make([]float64, len(g.Data))
-	copy(c.Data, g.Data)
-	return &c
-}

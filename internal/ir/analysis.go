@@ -181,13 +181,13 @@ func AsScaledVarPlusConst(e Expr) (v string, coeff, c int, ok bool) {
 	return v, coeff, e.Const, true
 }
 
-// DependenceDistances returns the distance vectors (indexed by loop
+// dependenceDistances returns the distance vectors (indexed by loop
 // position, outermost first) between every store and every other
 // reference to the same array: the number of iterations of each loop
 // separating the write from the read. Distance vectors drive the
 // legality checks in the transform package. An error is returned for
 // subscript forms outside the loopVar+const model.
-func DependenceDistances(n *Nest) ([][]int, error) {
+func dependenceDistances(n *Nest) ([][]int, error) {
 	var out [][]int
 	for si, s := range n.Body {
 		if !s.Store {

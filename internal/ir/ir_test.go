@@ -106,7 +106,7 @@ func TestGroupsResid(t *testing.T) {
 
 func TestDependenceDistancesJacobi(t *testing.T) {
 	// A is only written, B only read: no same-array pairs.
-	d, err := DependenceDistances(JacobiNest(20, 10))
+	d, err := dependenceDistances(JacobiNest(20, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestDependenceDistancesInPlace(t *testing.T) {
 			StoreRef("A", i),
 		},
 	}
-	d, err := DependenceDistances(n)
+	d, err := dependenceDistances(n)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,7 +46,7 @@ func FuzzParse(f *testing.F) {
 		if len(src) > 1<<16 {
 			return
 		}
-		if nest, err := Parse(src, fuzzParams); err == nil {
+		if nest, err := ParseNamed("", src, fuzzParams); err == nil {
 			exerciseNest(nest)
 		}
 		if prog, err := ParseProgramNamed("fuzz.st", src, fuzzParams); err == nil {
@@ -63,7 +63,6 @@ func FuzzParse(f *testing.F) {
 func exerciseNest(nest *ir.Nest) {
 	_ = nest.String()
 	_, _ = ir.Groups(nest)
-	_, _ = ir.DependenceDistances(nest)
 	_ = nest.Clone()
 }
 
@@ -82,7 +81,7 @@ func TestParseRegressions(t *testing.T) {
 		{"star without coeff group", "do I=2,9\n A(I)=C*B(I)"},
 	}
 	for _, c := range cases {
-		if _, err := Parse(c.src, fuzzParams); err == nil {
+		if _, err := ParseNamed("", c.src, fuzzParams); err == nil {
 			t.Errorf("%s: Parse accepted %q", c.name, c.src)
 		}
 		if _, err := ParseProgram(c.src, fuzzParams); err == nil {
@@ -103,7 +102,7 @@ func TestErrorPositions(t *testing.T) {
 	if !strings.Contains(err.Error(), "bad.st:2:4") {
 		t.Errorf("error lacks file:line:col: %v", err)
 	}
-	_, err = Parse("do I=2,Q\n A(I)=B(I)", nil)
+	_, err = ParseNamed("", "do I=2,Q\n A(I)=B(I)", nil)
 	if err == nil || !strings.Contains(err.Error(), "1:8") {
 		t.Errorf("unknown-parameter error lacks line:col: %v", err)
 	}

@@ -7,16 +7,11 @@ import (
 	"tiling3d/internal/ir"
 )
 
-// Parse parses a stencil program into an IR nest. params binds the
+// ParseNamed parses a stencil program into an IR nest. params binds the
 // symbolic sizes used in loop bounds (e.g. "N" -> 300). The source's
 // 1-based indexing (do I = 2, N-1) is converted to the IR's 0-based
-// form, so bounds and subscript constants shift by one.
-func Parse(src string, params map[string]int) (*ir.Nest, error) {
-	return ParseNamed("", src, params)
-}
-
-// ParseNamed is Parse with a file name: every error position reads
-// name:line:col instead of the bare line:col.
+// form, so bounds and subscript constants shift by one. Every error
+// position reads name:line:col, or line:col when name is empty.
 func ParseNamed(name, src string, params map[string]int) (*ir.Nest, error) {
 	toks, err := lex(name, src)
 	if err != nil {

@@ -21,7 +21,7 @@ do K=2,N-1
 `
 
 func TestParseFigure3MatchesBuilder(t *testing.T) {
-	got, err := Parse(figure3, map[string]int{"N": 40})
+	got, err := ParseNamed("", figure3, map[string]int{"N": 40})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ do I3=2,N-1
 `
 
 func TestParseFigure13MatchesBuilder(t *testing.T) {
-	got, err := Parse(figure13, map[string]int{"N": 30})
+	got, err := ParseNamed("", figure13, map[string]int{"N": 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestParseFigure13MatchesBuilder(t *testing.T) {
 // interpreter against the builder nest: identical values.
 func TestParsedNestInterprets(t *testing.T) {
 	n := 12
-	parsed, err := Parse(figure3, map[string]int{"N": n})
+	parsed, err := ParseNamed("", figure3, map[string]int{"N": n})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ do J=2,M-1
  do I=2,M-1
   A(I,J) = C*(B(I-1,J)+B(I+1,J)+B(I,J-1)+B(I,J+1))
 `
-	got, err := Parse(src, map[string]int{"M": 20})
+	got, err := ParseNamed("", src, map[string]int{"M": 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ do K=1,N
   do I=2,N-1,2
    A(I,J,K) = B(I,J,K)
 `
-	nest, err := Parse(src, map[string]int{"N": 10})
+	nest, err := ParseNamed("", src, map[string]int{"N": 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestParseErrors(t *testing.T) {
 		{"trailing tokens", "do I=2,9\n A(I)=B(I)\n extra", nil},
 	}
 	for _, c := range cases {
-		if _, err := Parse(c.src, c.params); err == nil {
+		if _, err := ParseNamed("", c.src, c.params); err == nil {
 			t.Errorf("%s: no error", c.name)
 		}
 	}
@@ -168,7 +168,7 @@ func TestParseErrors(t *testing.T) {
 
 func TestParseCaseInsensitive(t *testing.T) {
 	src := "DO k=2,n-1\n do J=2,n-1\n  Do i=2,n-1\n   a(i,j,K) = c*(b(i-1,j,K)+b(i+1,j,K)+b(i,j-1,K)+b(i,j+1,K)+b(i,j,K-1)+b(i,j,K+1))"
-	got, err := Parse(src, map[string]int{"n": 15})
+	got, err := ParseNamed("", src, map[string]int{"n": 15})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,7 +48,7 @@ func TestParseProgramBareNest(t *testing.T) {
 	if len(prog.Nests[0].Loops) != 3 {
 		t.Errorf("nest has %d loops, want 3:\n%s", len(prog.Nests[0].Loops), prog.Nests[0])
 	}
-	want, err := Parse(figure3, map[string]int{"N": 25})
+	want, err := ParseNamed("", figure3, map[string]int{"N": 25})
 	if err != nil {
 		t.Fatal(err)
 	}

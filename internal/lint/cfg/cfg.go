@@ -454,27 +454,3 @@ func isTerminalCall(e ast.Expr) bool {
 	}
 	return false
 }
-
-// ReachableWithout reports whether Exit is reachable from start without
-// passing through a block for which stop returns true. It is a small
-// helper shared by analyzers doing "does any path escape" queries.
-func (g *Graph) ReachableWithout(start *Block, stop func(*Block) bool) bool {
-	seen := make(map[*Block]bool, len(g.Blocks))
-	var dfs func(*Block) bool
-	dfs = func(blk *Block) bool {
-		if blk == g.Exit {
-			return true
-		}
-		if seen[blk] || stop(blk) {
-			return false
-		}
-		seen[blk] = true
-		for _, e := range blk.Succs {
-			if dfs(e.To) {
-				return true
-			}
-		}
-		return false
-	}
-	return dfs(start)
-}

@@ -88,14 +88,14 @@ func TestForLoopBackEdge(t *testing.T) {
 	g := build(t, "for i := 0; i < 3; i++ {\n if i == 1 {\n  break\n }\n continue\n}")
 	// The graph must terminate a DFS (back edges present, no hang) and
 	// reach exit.
-	if !g.ReachableWithout(g.Entry, func(*Block) bool { return false }) {
+	if !reachableWithout(g, g.Entry, func(*Block) bool { return false }) {
 		t.Fatal("exit unreachable")
 	}
 }
 
 func TestSwitchDefaultAndFallthrough(t *testing.T) {
 	g := build(t, "x := 1\nswitch x {\ncase 1:\n x = 2\n fallthrough\ncase 2:\n x = 3\ndefault:\n x = 4\n}\n_ = x")
-	if !g.ReachableWithout(g.Entry, func(*Block) bool { return false }) {
+	if !reachableWithout(g, g.Entry, func(*Block) bool { return false }) {
 		t.Fatal("exit unreachable")
 	}
 	// With a default clause there is no head→after edge; the only way
@@ -115,28 +115,51 @@ func TestSwitchDefaultAndFallthrough(t *testing.T) {
 		}
 		return false
 	}
-	if g.ReachableWithout(g.Entry, stops) {
+	if reachableWithout(g, g.Entry, stops) {
 		t.Fatal("switch with default should force flow through a clause")
 	}
 }
 
 func TestSelectNoDefaultBlocks(t *testing.T) {
 	g := build(t, "ch := make(chan int)\nselect {\ncase <-ch:\n}\nx := 1\n_ = x")
-	if !g.ReachableWithout(g.Entry, func(*Block) bool { return false }) {
+	if !reachableWithout(g, g.Entry, func(*Block) bool { return false }) {
 		t.Fatal("exit unreachable through the select case")
 	}
 }
 
 func TestLabeledContinue(t *testing.T) {
 	g := build(t, "outer:\nfor i := 0; i < 2; i++ {\n for j := 0; j < 2; j++ {\n  continue outer\n }\n}")
-	if !g.ReachableWithout(g.Entry, func(*Block) bool { return false }) {
+	if !reachableWithout(g, g.Entry, func(*Block) bool { return false }) {
 		t.Fatal("exit unreachable")
 	}
 }
 
 func TestGoto(t *testing.T) {
 	g := build(t, "i := 0\nagain:\ni++\nif i < 3 {\n goto again\n}")
-	if !g.ReachableWithout(g.Entry, func(*Block) bool { return false }) {
+	if !reachableWithout(g, g.Entry, func(*Block) bool { return false }) {
 		t.Fatal("exit unreachable")
 	}
+}
+
+// reachableWithout reports whether Exit is reachable from start without
+// passing through a block for which stop returns true.
+func reachableWithout(g *Graph, start *Block, stop func(*Block) bool) bool {
+	seen := make(map[*Block]bool, len(g.Blocks))
+	var dfs func(*Block) bool
+	dfs = func(blk *Block) bool {
+		if blk == g.Exit {
+			return true
+		}
+		if seen[blk] || stop(blk) {
+			return false
+		}
+		seen[blk] = true
+		for _, e := range blk.Succs {
+			if dfs(e.To) {
+				return true
+			}
+		}
+		return false
+	}
+	return dfs(start)
 }

@@ -1,42 +1,11 @@
 package mg
 
 import (
-	"fmt"
 	"time"
 
 	"tiling3d/internal/core"
 	"tiling3d/internal/stencil"
 )
-
-// Class is a problem-size preset in the NAS style.
-type Class struct {
-	Name string
-	// LM is log2 of the finest interior extent.
-	LM int
-	// Iterations is the number of V-cycles.
-	Iterations int
-}
-
-// Classes returns the presets: S and W are quick checks, A is a real
-// workload, Ref matches the SPEC MGRID reference input's 130^3 arrays.
-func Classes() []Class {
-	return []Class{
-		{Name: "S", LM: 5, Iterations: 4},
-		{Name: "W", LM: 6, Iterations: 8},
-		{Name: "Ref", LM: 7, Iterations: 8},
-		{Name: "A", LM: 8, Iterations: 4},
-	}
-}
-
-// ClassByName finds a preset.
-func ClassByName(name string) (Class, error) {
-	for _, c := range Classes() {
-		if c.Name == name {
-			return c, nil
-		}
-	}
-	return Class{}, fmt.Errorf("mg: unknown class %q", name)
-}
 
 // ExperimentResult reports the Section 4.6 MGRID experiment: total solver
 // run time with the original RESID versus RESID tiled (and padded) at the

@@ -80,6 +80,13 @@ type Solver struct {
 // the paper does for MGRID, since pads cannot be threaded through the 1D
 // index arithmetic of the coarser levels).
 func New(p Params) *Solver {
+	return newSolver(p, grid.Must3DPadded)
+}
+
+// newSolver builds a solver whose grids come from alloc: New allocates
+// their storage, while the simulated experiment passes grid.Must3DShape,
+// because a trace reads only the layout. Both place the grids alike.
+func newSolver(p Params, alloc func(ni, nj, nk, di, dj int) *grid.Grid3D) *Solver {
 	p = p.withDefaults()
 	if p.LM < 1 || p.LM > 10 {
 		panic(fmt.Sprintf("mg: LM=%d out of range [1,10]", p.LM))
@@ -104,14 +111,14 @@ func New(p Params) *Solver {
 	}
 	for l := 1; l <= p.LM; l++ {
 		m, di, dj := dims(l)
-		s.u[l] = arena.Place(grid.Must3DPadded(m, m, m, di, dj)) //lint:allow mustcheck -- dims derived from validated Params
+		s.u[l] = arena.Place(alloc(m, m, m, di, dj))
 	}
 	for l := 1; l <= p.LM; l++ {
 		m, di, dj := dims(l)
-		s.r[l] = arena.Place(grid.Must3DPadded(m, m, m, di, dj)) //lint:allow mustcheck -- dims derived from validated Params
+		s.r[l] = arena.Place(alloc(m, m, m, di, dj))
 	}
 	fm, fdi, fdj := dims(p.LM)
-	s.v = arena.Place(grid.Must3DPadded(fm, fm, fm, fdi, fdj)) //lint:allow mustcheck -- dims derived from validated Params
+	s.v = arena.Place(alloc(fm, fm, fm, fdi, fdj))
 	return s
 }
 
@@ -120,9 +127,6 @@ func (s *Solver) N() int { return 1 << s.p.LM }
 
 // Finest returns the finest-level solution grid.
 func (s *Solver) Finest() *grid.Grid3D { return s.u[s.p.LM] }
-
-// Residual returns the finest-level residual grid.
-func (s *Solver) Residual() *grid.Grid3D { return s.r[s.p.LM] }
 
 // SetRHS fills the finest-level right-hand side from f over the interior
 // and zeroes the solution, preparing a fresh solve.
@@ -279,13 +283,13 @@ func (s *Solver) Iterate(n int) float64 {
 	return s.ResidualNorm()
 }
 
-// FMG performs one full-multigrid pass: restrict the right-hand side to
+// fmg performs one full-multigrid pass: restrict the right-hand side to
 // every level, solve coarsest-first, and prolongate each level's solution
 // as the next finer level's initial guess, finishing with vPerLevel
 // V-cycles at the finest level. FMG reaches discretization-level accuracy
 // in a single pass where plain V-cycling needs several; the NAS benchmark
 // itself uses V-cycles, so this is the solver-quality extension.
-func (s *Solver) FMG(vPerLevel int) float64 {
+func (s *Solver) fmg(vPerLevel int) float64 {
 	lm := s.p.LM
 	// Restrict the RHS down the hierarchy, reusing r as scratch.
 	rhs := make([]*grid.Grid3D, lm+1)
@@ -361,21 +365,4 @@ func (s *Solver) ResidualNorm() float64 {
 	}
 	n := float64(m-2) * float64(m-2) * float64(m-2)
 	return math.Sqrt(sum / n)
-}
-
-// MaxResidual returns the max-norm of the finest residual.
-func (s *Solver) MaxResidual() float64 {
-	r := s.r[s.p.LM]
-	m := r.NI
-	var mx float64
-	for k := 1; k <= m-2; k++ {
-		for j := 1; j <= m-2; j++ {
-			for i := 1; i <= m-2; i++ {
-				if x := math.Abs(r.At(i, j, k)); x > mx {
-					mx = x
-				}
-			}
-		}
-	}
-	return mx
 }

@@ -57,13 +57,13 @@ func TestParallelFMGBitIdentical(t *testing.T) {
 	base := Params{LM: 4, Plan: core.Plan{DI: 18, DJ: 18, Tiled: true, Tile: core.Tile{TI: 4, TJ: 4}}, TileSmoother: true}
 	ref := New(base)
 	ref.SetPointCharges(6)
-	refNorm := ref.FMG(2)
+	refNorm := ref.fmg(2)
 	for _, workers := range []int{2, 8, 0} {
 		p := base
 		p.Workers = workers
 		s := New(p)
 		s.SetPointCharges(6)
-		norm := s.FMG(2)
+		norm := s.fmg(2)
 		if norm != refNorm {
 			t.Errorf("workers=%d: FMG norm %g, serial %g", workers, norm, refNorm)
 		}

@@ -157,7 +157,7 @@ func (s *Solver) traceIterationRuns(sink cache.RunSink) {
 // the delta-layer counters that show whether the measured iteration was
 // served from the warm-up's records.
 func simulateIteration(lm int, p core.Plan, l1, l2 cache.Config) (*cache.Hierarchy, cache.DeltaDiag) {
-	s := New(Params{LM: lm, Plan: p})
+	s := newSolver(Params{LM: lm, Plan: p}, grid.Must3DShape)
 	h := cache.MustHierarchy(l1, l2) //lint:allow mustcheck -- fixed valid configs from the caller
 	sd := cache.NewSteady(h)
 	cache.WarmMeasure(h, sd, 1, s.traceIterationRuns)

@@ -72,6 +72,29 @@ func TestArenaLayoutDisjoint(t *testing.T) {
 	}
 }
 
+// TestSimulatedSolverHoldsNoData pins the simulated experiment's solver:
+// built with grid.Must3DShape it has New's layout on every level, padded
+// finest grids included, and no element storage.
+func TestSimulatedSolverHoldsNoData(t *testing.T) {
+	for _, plan := range []core.Plan{{}, residPlan(5, 2048, core.MethodGcdPad)} {
+		p := Params{LM: 5, Plan: plan}
+		sim, ref := newSolver(p, grid.Must3DShape), New(p)
+		grids := func(s *Solver) []*grid.Grid3D {
+			return append(append(append([]*grid.Grid3D{}, s.u[1:]...), s.r[1:]...), s.v)
+		}
+		gs, gr := grids(sim), grids(ref)
+		for i := range gs {
+			if gs[i].Data != nil {
+				t.Errorf("plan %+v grid %d holds %d elements", plan, i, len(gs[i].Data))
+			}
+			if gs[i].Base() != gr[i].Base() || gs[i].DI != gr[i].DI || gs[i].DJ != gr[i].DJ {
+				t.Errorf("plan %+v grid %d: base %d DI %d DJ %d, New has %d, %d, %d", plan, i,
+					gs[i].Base(), gs[i].DI, gs[i].DJ, gr[i].Base(), gr[i].DI, gr[i].DJ)
+			}
+		}
+	}
+}
+
 func TestTraceVCycleCountsMatchTransform(t *testing.T) {
 	// Tiling only reorders: the tiled V-cycle's access counts equal the
 	// original's.

@@ -440,9 +440,6 @@ func (s *Schedule) Certify() error {
 	return nil
 }
 
-// Certified reports whether Certify has proved the schedule.
-func (s *Schedule) Certified() bool { return s.certified }
-
 // String summarizes the schedule for diagnostics.
 func (s *Schedule) String() string {
 	var b strings.Builder

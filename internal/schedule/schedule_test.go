@@ -32,7 +32,7 @@ func TestDeriveBatchForIndependentTiles(t *testing.T) {
 	if s.Kind != Batch {
 		t.Fatalf("kind = %v, want batch (schedule: %v)", s.Kind, s)
 	}
-	if !s.Certified() {
+	if !s.certified {
 		t.Fatal("derived schedule not certified")
 	}
 }
@@ -180,7 +180,7 @@ func TestCertifyRefusesIllegalSchedule(t *testing.T) {
 	if !strings.Contains(err.Error(), "(1,0)") || !strings.Contains(err.Error(), "flow A distance (0,1,0)") {
 		t.Fatalf("refusal %q does not name the distance vector and origin", err)
 	}
-	if s.Certified() {
+	if s.certified {
 		t.Fatal("schedule marked certified after refusal")
 	}
 	// Execute must refuse to run it.

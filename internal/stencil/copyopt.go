@@ -92,11 +92,11 @@ func JacobiCopyTiled(a, b *grid.Grid3D, cc float64, ti, tj int) {
 	}
 }
 
-// JacobiCopyTiledTrace replays the copy-tiled variant's address stream:
+// jacobiCopyTiledTrace replays the copy-tiled variant's address stream:
 // buffer traffic plus the array slab reads and the result stores. The
 // buffer occupies its own address range past every array (modeling a
 // stack or heap scratch allocation).
-func JacobiCopyTiledTrace(a, b *grid.Grid3D, mem cache.Memory, ti, tj int) {
+func jacobiCopyTiledTrace(a, b *grid.Grid3D, mem cache.Memory, ti, tj int) {
 	n1, n2, n3 := a.NI, a.NJ, a.NK
 	bi, bj := ti+2, tj+2
 	bufBase := (b.Base() + int64(b.Elems())) * grid.ElemSize

@@ -46,7 +46,7 @@ func TestCopyTraceAccounting(t *testing.T) {
 	w.RunTrace(&plain)
 
 	var withCopy cache.NullMemory
-	JacobiCopyTiledTrace(w.Grids[0], w.Grids[1], &withCopy, ti, tj)
+	jacobiCopyTiledTrace(w.Grids[0], w.Grids[1], &withCopy, ti, tj)
 
 	if withCopy.LoadCount <= plain.LoadCount {
 		t.Errorf("copy variant loads %d not above plain %d", withCopy.LoadCount, plain.LoadCount)

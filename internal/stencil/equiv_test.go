@@ -66,7 +66,7 @@ func TestJacobiTiled3LoopMatchesOrig(t *testing.T) {
 				aTiled := aOrig.Clone()
 				bTiled := bOrig.Clone()
 				JacobiOrig(aOrig, bOrig, 1.0/6.0)
-				JacobiTiled3Loop(aTiled, bTiled, 1.0/6.0, tc.ti, tc.tj, tk)
+				jacobiTiled3Loop(aTiled, bTiled, 1.0/6.0, tc.ti, tc.tj, tk)
 				if d := aOrig.MaxAbsDiff(aTiled); d != 0 {
 					t.Errorf("n=%d tile=(%d,%d,%d): 3-loop tiling differs by %g", n, tc.ti, tc.tj, tk, d)
 				}
@@ -81,9 +81,9 @@ func TestRedBlackFusedMatchesNaive(t *testing.T) {
 			ref := testGrid(n, k, n, n, 3)
 			fused := ref.Clone()
 			RedBlackNaive(ref, -0.15, 1.15/6)
-			RedBlackFused(fused, -0.15, 1.15/6)
+			redBlackFused(fused, -0.15, 1.15/6)
 			if d := ref.MaxAbsDiff(fused); d != 0 {
-				t.Errorf("n=%d k=%d: RedBlackFused differs from naive by %g", n, k, d)
+				t.Errorf("n=%d k=%d: redBlackFused differs from naive by %g", n, k, d)
 			}
 		}
 	}

@@ -64,39 +64,6 @@ func rowView(g *grid.Grid3D, i, n, j, k int) []float64 {
 	return g.Data[o : o+n]
 }
 
-// Jacobi2DOrig performs one sweep of the 2D Jacobi nest (Figure 1), used
-// by the Section 1 motivation experiment contrasting 2D and 3D reuse.
-func Jacobi2DOrig(a, b *grid.Grid2D, c float64) {
-	for j := 1; j <= a.NJ-2; j++ {
-		jacobi2DRow(a, b, c, 1, a.NI-2, j)
-	}
-}
-
-// Jacobi2DTiled performs one sweep of the 2D nest with the I loop
-// strip-mined and the tile loop moved outermost — the transformation the
-// paper shows is pointless in 2D, because a handful of columns already
-// fit in cache for any realistic N (Section 2.1). It exists so the
-// pointlessness is measurable.
-func Jacobi2DTiled(a, b *grid.Grid2D, c float64, ti int) {
-	for ii := 1; ii <= a.NI-2; ii += ti {
-		iHi := min(ii+ti-1, a.NI-2)
-		for j := 1; j <= a.NJ-2; j++ {
-			jacobi2DRow(a, b, c, ii, iHi, j)
-		}
-	}
-}
-
-func jacobi2DRow(a, b *grid.Grid2D, c float64, iLo, iHi, j int) {
-	r0 := b.Index(0, j)
-	rjm := b.Index(0, j-1)
-	rjp := b.Index(0, j+1)
-	ra := a.Index(0, j)
-	for i := iLo; i <= iHi; i++ {
-		a.Data[ra+i] = c * (b.Data[r0+i-1] + b.Data[r0+i+1] +
-			b.Data[rjm+i] + b.Data[rjp+i])
-	}
-}
-
 func min(a, b int) int {
 	if a < b {
 		return a

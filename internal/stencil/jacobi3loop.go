@@ -14,9 +14,9 @@ import (
 // misses along the expanded boundaries — and BenchmarkAblationThreeLoop
 // measures exactly that. Results remain bit-identical to the original.
 
-// JacobiTiled3Loop performs one Jacobi sweep with all three loops tiled
+// jacobiTiled3Loop performs one Jacobi sweep with all three loops tiled
 // by (ti, tj, tk).
-func JacobiTiled3Loop(a, b *grid.Grid3D, c float64, ti, tj, tk int) {
+func jacobiTiled3Loop(a, b *grid.Grid3D, c float64, ti, tj, tk int) {
 	n1, n2, n3 := a.NI, a.NJ, a.NK
 	for kk := 1; kk <= n3-2; kk += tk {
 		kHi := min(kk+tk-1, n3-2)

@@ -15,10 +15,10 @@ import (
 // them — but it cannot avoid conflict misses the way padding does, which
 // is what BenchmarkAblationRecursive measures against GcdPad.
 
-// JacobiRecursive computes one Jacobi sweep with cache-oblivious
+// jacobiRecursive computes one Jacobi sweep with cache-oblivious
 // divide and conquer; leaf blocks have extent at most leaf in both I and
 // J. Results are bit-identical to JacobiOrig.
-func JacobiRecursive(a, b *grid.Grid3D, c float64, leaf int) {
+func jacobiRecursive(a, b *grid.Grid3D, c float64, leaf int) {
 	recurse(a, leaf, func(iLo, iHi, jLo, jHi int) {
 		for k := 1; k <= a.NK-2; k++ {
 			for j := jLo; j <= jHi; j++ {

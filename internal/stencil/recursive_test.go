@@ -15,7 +15,7 @@ func TestJacobiRecursiveMatchesOrig(t *testing.T) {
 			aRec := aOrig.Clone()
 			bRec := bOrig.Clone()
 			JacobiOrig(aOrig, bOrig, 1.0/6.0)
-			JacobiRecursive(aRec, bRec, 1.0/6.0, leaf)
+			jacobiRecursive(aRec, bRec, 1.0/6.0, leaf)
 			if d := aOrig.MaxAbsDiff(aRec); d != 0 {
 				t.Errorf("n=%d leaf=%d: recursive Jacobi differs by %g", n, leaf, d)
 			}

@@ -58,11 +58,11 @@ func RedBlackNaive(a *grid.Grid3D, c1, c2 float64) {
 	}
 }
 
-// RedBlackFused performs one red-black sweep with the fused nest
+// redBlackFused performs one red-black sweep with the fused nest
 // (Figure 12, middle): for each outer step kk, red points of plane kk+1
 // are updated, then black points of plane kk, so one traversal of the
 // array performs both colors and only four planes need stay cached.
-func RedBlackFused(a *grid.Grid3D, c1, c2 float64) {
+func redBlackFused(a *grid.Grid3D, c1, c2 float64) {
 	n1, n2, n3 := a.NI, a.NJ, a.NK
 	for kk := 0; kk <= n3-2; kk++ {
 		for dk := 1; dk >= 0; dk-- {

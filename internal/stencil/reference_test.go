@@ -140,8 +140,8 @@ func TestKernelsMatchPointReference(t *testing.T) {
 		RedBlackNaive(got, c1, c2)
 		check(shape+" RedBlackNaive", got, want)
 		got = noise(3)
-		RedBlackFused(got, c1, c2)
-		check(shape+" RedBlackFused", got, want)
+		redBlackFused(got, c1, c2)
+		check(shape+" redBlackFused", got, want)
 		for _, tc := range tileCases {
 			got := noise(3)
 			RedBlackTiled(got, c1, c2, tc.ti, tc.tj)

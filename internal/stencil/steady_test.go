@@ -46,17 +46,17 @@ func steadyCompareTuned(t *testing.T, label string, w *stencil.Workload, sweeps 
 			a, b := full.Level(li).Stats(), fast.Level(li).Stats()
 			if a != b {
 				t.Fatalf("%s: sweep %d level %d stats diverge:\nfull   %+v\nsteady %+v (skipped %d planes)",
-					label, sweep, li, a, b, st.SkippedPlanes())
+					label, sweep, li, a, b, st.Diag().Skipped)
 			}
 		}
 	}
 	for li := range cfgs {
 		if !full.Level(li).StateEqual(fast.Level(li)) {
 			t.Fatalf("%s: level %d final state diverges (skipped %d planes)",
-				label, li, st.SkippedPlanes())
+				label, li, st.Diag().Skipped)
 		}
 	}
-	return st.SkippedPlanes()
+	return st.Diag().Skipped
 }
 
 // smallCfgs is a two-level hierarchy scaled down so steady cycles form
@@ -190,60 +190,5 @@ func TestSteadyRandomGeometry(t *testing.T) {
 		// Same geometry under the production gate (default budget):
 		// must also be exact.
 		steadyCompareTuned(t, k.String()+"/random-prod", w, 2, nil, cfgs...)
-	}
-}
-
-// TestSteadyTLBDifferential is the TLB satellite: TLB and cache
-// statistics must be identical under per-access replay, batched
-// ReplayRuns, and the steady path. The TLB's page granularity is part
-// of the alignment requirement, so phases whose plane stride is not
-// page-compatible refuse steadiness (and still must match).
-func TestSteadyTLBDifferential(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		page  int
-		plan  core.Plan
-		wantS bool // steady skipping expected to engage
-	}{
-		// N=64 plane stride = 64*64*8 = 32KB: multiple of a 1KB page.
-		{"aligned", 1 << 10, plainPlan(64), true},
-		// DI=67, DJ=65: plane stride 67*65*8 = 34840 bytes; gcd with a
-		// 4KB page is 8, so t0 explodes past the cap and the engine
-		// must refuse steadiness — exactness via full replay.
-		{"refused", 4 << 10, core.Plan{DI: 67, DJ: 65}, false},
-	} {
-		mems := make([]*cache.MemoryWithTLB, 3)
-		for i := range mems {
-			h := cache.MustHierarchy(smallCfgs()...)
-			mems[i] = cache.NewMemoryWithTLB(h, cache.TLB(8, tc.page))
-		}
-		w := stencil.NewTraceWorkload(stencil.Jacobi, 64, 20, tc.plan)
-		st := cache.NewSteadyTLB(mems[2])
-		st.MinUnitAccesses = 1
-		for sweep := 0; sweep < 2; sweep++ {
-			w.RunTrace(mems[0])    // per-access reference
-			w.ReplayTrace(mems[1]) // batched
-			w.ReplayTrace(st)      // steady
-			for i := 1; i < 3; i++ {
-				if a, b := mems[0].TLB.Stats(), mems[i].TLB.Stats(); a != b {
-					t.Fatalf("%s: path %d sweep %d TLB stats diverge:\nwant %+v\ngot  %+v", tc.name, i, sweep, a, b)
-				}
-				for li := range mems[0].Caches.Levels() {
-					if a, b := mems[0].Caches.Level(li).Stats(), mems[i].Caches.Level(li).Stats(); a != b {
-						t.Fatalf("%s: path %d sweep %d L%d stats diverge:\nwant %+v\ngot  %+v", tc.name, i, sweep, li+1, a, b)
-					}
-				}
-			}
-		}
-		if tc.wantS && st.SkippedPlanes() == 0 {
-			t.Errorf("%s: expected the steady engine to skip planes", tc.name)
-		}
-		if !tc.wantS && st.Diag().Confirmed != 0 {
-			// Plane-cycle detection must refuse the unalignable stride.
-			t.Errorf("%s: expected plane-cycle detection to be refused, confirmed %d cycles", tc.name, st.Diag().Confirmed)
-		}
-		if !mems[0].TLB.StateEqual(mems[2].TLB) {
-			t.Errorf("%s: TLB state diverges under steady path", tc.name)
-		}
 	}
 }

@@ -119,8 +119,10 @@ func TestRunRecorderRoundTrip(t *testing.T) {
 			t.Errorf("L%d: direct %+v, recorded %+v", l+1, d, r)
 		}
 	}
-	if rec.Accesses() != uint64(w.AccessCount()) {
-		t.Errorf("recorded %d accesses, want %d", rec.Accesses(), w.AccessCount())
+	var count cache.NullMemory
+	count.ReplayRuns(rec.Runs)
+	if got := count.LoadCount + count.StoreCount; got != uint64(w.AccessCount()) {
+		t.Errorf("recorded %d accesses, want %d", got, w.AccessCount())
 	}
 	first := cap(rec.Runs)
 	rec.Reset()

@@ -152,12 +152,3 @@ func (w *Workload) Flops() int64 {
 func (w *Workload) AccessCount() int64 {
 	return w.InteriorPoints() * int64(w.Kernel.Accesses())
 }
-
-// MemoryBytes returns the total allocated array memory, padding included.
-func (w *Workload) MemoryBytes() int64 {
-	var b int64
-	for _, g := range w.Grids {
-		b += g.Bytes()
-	}
-	return b
-}

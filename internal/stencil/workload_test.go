@@ -18,9 +18,6 @@ func TestWorkloadAccounting(t *testing.T) {
 	if got, want := w.AccessCount(), int64(18*18*8*29); got != want {
 		t.Errorf("AccessCount = %d, want %d", got, want)
 	}
-	if got, want := w.MemoryBytes(), int64(3*25*22*10*8); got != want {
-		t.Errorf("MemoryBytes = %d, want %d", got, want)
-	}
 	if len(w.Grids) != 3 {
 		t.Errorf("RESID workload has %d grids", len(w.Grids))
 	}

@@ -55,14 +55,14 @@ func TestIRMatchesJacobiTiled(t *testing.T) {
 		arena := grid.NewArena()
 		a := arena.Place(grid.Must3DPadded(n, n, depth, n+3, n+1))
 		b := arena.Place(grid.Must3DPadded(n, n, depth, n+3, n+1))
-		ref.Reset()
+		ref.Ops = ref.Ops[:0]
 		stencil.Replay(stencil.Jacobi, core.Plan{Tile: tile, Tiled: true}, []*grid.Grid3D{a, b}, cache.PerAccess{Mem: &ref})
 
 		nest, err := transform.TileInner2(ir.JacobiNest(n, depth), tile)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got.Reset()
+		got.Ops = got.Ops[:0]
 		env := map[string]trace.Binding{"A": trace.Bind3D(a), "B": trace.Bind3D(b)}
 		if err := trace.Run(nest, env, &got); err != nil {
 			t.Fatal(err)
@@ -83,14 +83,14 @@ func TestIRBatchedMatchesKernelBatched(t *testing.T) {
 		arena := grid.NewArena()
 		a := arena.Place(grid.Must3DPadded(n, n, depth, n+3, n+1))
 		b := arena.Place(grid.Must3DPadded(n, n, depth, n+3, n+1))
-		ref.Reset()
+		ref.Ops = ref.Ops[:0]
 		stencil.Replay(stencil.Jacobi, core.Plan{Tile: tile, Tiled: true}, []*grid.Grid3D{a, b}, &ref)
 
 		nest, err := transform.TileInner2(ir.JacobiNest(n, depth), tile)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got.Reset()
+		got.Ops = got.Ops[:0]
 		rec.Reset()
 		env := map[string]trace.Binding{"A": trace.Bind3D(a), "B": trace.Bind3D(b)}
 		if err := trace.RunBatchedNest(nest, env, &rec); err != nil {

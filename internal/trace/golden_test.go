@@ -223,15 +223,6 @@ func userStencilCases() []streamCase {
 	if err != nil {
 		panic(err)
 	}
-	offsets := [][3]int{{0, 0, 0}, {-1, 0, 0}, {1, 0, 0}, {0, -1, 0}, {0, 1, 0}, {0, 0, -1}, {0, 0, 1}}
-	var ws []*grid.Grid3D
-	for range offsets {
-		ws = append(ws, arena.Place(grid.Must3DShape(n, n, depth, n, n)))
-	}
-	vc, err := stencil.NewVarCoeff(offsets, ws)
-	if err != nil {
-		panic(err)
-	}
 	var cs []streamCase
 	for _, plan := range []core.Plan{{}, tiledPlan(3, 4, 0, 0), tiledPlan(30, 2, 0, 0)} {
 		for i, shape := range []stencil.Shape{stencil.Box7(-6, 1), skew} {
@@ -240,10 +231,6 @@ func userStencilCases() []streamCase {
 				access: func(mem cache.Memory) { shape.Trace(dst, src, mem, plan) },
 			})
 		}
-		cs = append(cs, streamCase{
-			name:   fmt.Sprintf("VARCOEFF/tiled=%v/%dx%d", plan.Tiled, plan.Tile.TI, plan.Tile.TJ),
-			access: func(mem cache.Memory) { vc.Trace(dst, src, mem, plan.Tile.TI, plan.Tile.TJ, plan.Tiled) },
-		})
 	}
 	return cs
 }

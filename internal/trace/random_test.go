@@ -138,8 +138,8 @@ func TestBatchedWalkerMatchesPerAccessOnRandomNests(t *testing.T) {
 	var rec cache.RunRecorder
 	for trial := 0; trial < 200; trial++ {
 		nest, env := randomNest(rng)
-		want.Reset()
-		got.Reset()
+		want.Ops = want.Ops[:0]
+		got.Ops = got.Ops[:0]
 		rec.Reset()
 		if err := trace.Run(nest, env, &want); err != nil {
 			t.Fatalf("trial %d: %v\n%s", trial, err, nest)

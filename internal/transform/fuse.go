@@ -129,16 +129,17 @@ func (f *Fused) forEachOuter(fn func(n *ir.Nest, v int) error) error {
 	return nil
 }
 
-// Interpret executes the fused schedule's computation over real grids.
-// Both nests must carry compute semantics.
-func (f *Fused) Interpret(env map[string]*grid.Grid3D, consts map[string]float64) error {
+// interpret executes the fused schedule's computation over real grids:
+// the reference the tests hold the generated code to. Both nests must
+// carry compute semantics.
+func (f *Fused) interpret(env map[string]*grid.Grid3D, consts map[string]float64) error {
 	return f.forEachOuter(func(n *ir.Nest, v int) error {
 		return ir.Interpret(restrictOuter(n, v), env, consts)
 	})
 }
 
-// Trace replays the fused schedule's address stream.
-func (f *Fused) Trace(env map[string]trace.Binding, mem cache.Memory) error {
+// replay issues the fused schedule's address stream per access.
+func (f *Fused) replay(env map[string]trace.Binding, mem cache.Memory) error {
 	return f.forEachOuter(func(n *ir.Nest, v int) error {
 		return trace.Run(restrictOuter(n, v), env, mem)
 	})

@@ -83,7 +83,7 @@ func TestFusedInterpretMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := mk()
-	if err := fused.Interpret(got, consts); err != nil {
+	if err := fused.interpret(got, consts); err != nil {
 		t.Fatal(err)
 	}
 	if d := seq["B"].MaxAbsDiff(got["B"]); d != 0 {
@@ -98,7 +98,7 @@ func TestFusedInterpretMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	got3 := mk()
-	if err := fused3.Interpret(got3, consts); err != nil {
+	if err := fused3.interpret(got3, consts); err != nil {
 		t.Fatal(err)
 	}
 	if d := seq["B"].MaxAbsDiff(got3["B"]); d != 0 {
@@ -129,7 +129,7 @@ func TestFusedTraceIsPermutation(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got cache.Recorder
-	if err := fused.Trace(env, &got); err != nil {
+	if err := fused.replay(env, &got); err != nil {
 		t.Fatal(err)
 	}
 	if len(seq.Ops) != len(got.Ops) {
@@ -233,7 +233,7 @@ func TestFusionPreservesReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fusedRate := missRate(func(mem cache.Memory) error { return fused.Trace(env, mem) })
+	fusedRate := missRate(func(mem cache.Memory) error { return fused.replay(env, mem) })
 	if fusedRate >= seqRate*0.8 {
 		t.Errorf("fusion did not preserve reuse: sequential %.2f%%, fused %.2f%%", seqRate, fusedRate)
 	}
