@@ -13,7 +13,9 @@ package cache
 // engine, which serves it from those records (delta.go). The engine
 // commits every skip at its own phase's last marker, so at each sweep
 // end — where the statistics reset — and on return, h's statistics and
-// state equal a raw replay of the same sweeps.
+// state equal a raw replay of the same sweeps. The engine's buffers
+// come from a pool for the protocol and go back to it on return
+// (bufs.go).
 func WarmMeasure(h *Hierarchy, sd *Steady, sweeps int, sweep func(RunSink)) {
 	if sd == nil {
 		sweep(h)
@@ -23,8 +25,14 @@ func WarmMeasure(h *Hierarchy, sd *Steady, sweeps int, sweep func(RunSink)) {
 		}
 		return
 	}
+	sd.takeBufs()
+	sd.warmMeasure(sweeps, sweep)
+	sd.putBufs()
+}
+
+func (sd *Steady) warmMeasure(sweeps int, sweep func(RunSink)) {
 	sd.recordSweep(sweep)
-	h.ResetStats()
+	sd.h.ResetStats()
 	for i := 0; i < sweeps; i++ {
 		if chained := sd.measureSweep(sweep); i > 0 || !chained {
 			continue
@@ -32,7 +40,7 @@ func WarmMeasure(h *Hierarchy, sd *Steady, sweeps int, sweep func(RunSink)) {
 		// The first measured sweep ended chained: in the warm-up's end
 		// state, which is the state it began from. Every later sweep
 		// repeats it, and the statistics, reset before it, are its own.
-		for _, c := range h.levels {
+		for _, c := range sd.h.levels {
 			one := c.stats
 			for j := 1; j < sweeps; j++ {
 				c.stats.Add(one)

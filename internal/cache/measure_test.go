@@ -30,8 +30,8 @@ func refusedSweep(sink RunSink) {
 
 // scopedPhase emits one long frontier-marching phase: each of 48 units
 // makes 512 accesses over 8 lines, then the next unit shifts forward
-// one line. Its units are far too small for the default budget gate to
-// afford whole-state snapshots, so detection refuses it.
+// one line. It spans 55 lines, too few to wrap the paper's L1, so
+// detection refuses it.
 func scopedPhase(sink RunSink) {
 	emitUnits(sink, 48, 32, 0, func(i int) []Run {
 		return readUnit(int64(i)*32, 8, 16)
@@ -79,7 +79,7 @@ func TestSteadySelfCheckSettles(t *testing.T) {
 // — with the engine off and on. The streams cover phases measured from
 // their records (deltaSweep), phases that repeat across sweep boundaries (echoCycle),
 // phases plane-cycle detection refuses for too few planes
-// (refusedSweep) and for too little work per unit (scopedPhase).
+// (refusedSweep) and for too small a footprint (scopedPhase).
 func TestSteadyWarmMeasure(t *testing.T) {
 	streams := []struct {
 		name  string
@@ -152,30 +152,46 @@ func TestSteadyRefusedPhasesRepeat(t *testing.T) {
 	}
 }
 
-// TestSteadyBudgetGateRefuses checks the budget gate end to end on a
-// 512-set L1: scopedPhase's whole-state snapshot costs 512 slots, more
-// than twice its 512 accesses per unit can amortize, so the gate must
-// refuse it, and the result must stay bit-identical to a raw replay.
+// TestSteadyBudgetGateRefuses checks the detection gates end to end on
+// a 512-set L1, each against a raw replay. scopedPhase spans 57 lines,
+// so it cannot wrap the level and the coverage rule refuses it, with no
+// pins for its record. wideScopedPhase issues the same 512 accesses a
+// unit but steps 16 lines a unit, so it wraps the level; its
+// whole-state snapshot costs 512 slots, more than twice its units can
+// amortize, so the budget gate refuses it.
 func TestSteadyBudgetGateRefuses(t *testing.T) {
 	cfg := Config{SizeBytes: 16 << 10, LineBytes: 32, Assoc: 1} // 512 sets
-	rawH := MustHierarchy(cfg)
-	scopedPhase(rawH)
-
-	h := MustHierarchy(cfg)
-	st := NewSteady(h)
-	scopedPhase(st)
-	c, raw := h.Level(0), rawH.Level(0)
-	if c.Stats() != raw.Stats() {
-		t.Errorf("stats diverged: steady %+v raw %+v", c.Stats(), raw.Stats())
+	wideScopedPhase := func(sink RunSink) {
+		emitUnits(sink, 48, 512, 0, func(i int) []Run {
+			return readUnit(int64(i)*512, 8, 16)
+		})
 	}
-	if !c.StateEqual(raw) {
-		t.Error("final state diverged from raw replay")
-	}
-	d := st.Diag()
-	if d.Confirmed != 0 {
-		t.Errorf("unaffordable phase confirmed a cycle: %s", d)
-	}
-	if d.RefusedBudget == 0 {
-		t.Errorf("unaffordable phase was not refused by the budget gate: %s", d)
+	for _, tc := range []struct {
+		name  string
+		sweep func(RunSink)
+		cause func(SteadyDiag) uint64
+	}{
+		{"cover", scopedPhase, func(d SteadyDiag) uint64 { return d.RefusedCover }},
+		{"budget", wideScopedPhase, func(d SteadyDiag) uint64 { return d.RefusedBudget }},
+	} {
+		rawH := MustHierarchy(cfg)
+		WarmMeasure(rawH, nil, 1, tc.sweep)
+		h := MustHierarchy(cfg)
+		st := NewSteady(h)
+		WarmMeasure(h, st, 1, tc.sweep)
+		c, raw := h.Level(0), rawH.Level(0)
+		if c.Stats() != raw.Stats() {
+			t.Errorf("%s: stats diverged: steady %+v raw %+v", tc.name, c.Stats(), raw.Stats())
+		}
+		if !c.StateEqual(raw) {
+			t.Errorf("%s: final state diverged from raw replay", tc.name)
+		}
+		d := st.Diag()
+		if d.Confirmed != 0 || d.Phases != 1 || tc.cause(d) != 1 {
+			t.Errorf("%s: the warm-up's phase must be refused by the %s gate: %s", tc.name, tc.name, d)
+		}
+		if pins := st.DeltaInfo().PinCompares; (tc.name == "cover") != (pins == 0) {
+			t.Errorf("%s: %d pin compares: %s", tc.name, pins, st.DeltaInfo())
+		}
 	}
 }

@@ -2,15 +2,16 @@ package grid
 
 import "fmt"
 
-// Grid2D is a 2D array of float64 stored in column-major order with a
-// padded leading dimension. It backs the paper's Section 1 motivation
-// experiments, which contrast 2D and 3D stencil reuse.
+// Grid2D is the layout of a 2D array of float64 stored in column-major
+// order with a padded leading dimension: extents and arena placement,
+// no element storage. It backs the paper's Section 1 motivation
+// experiments, which contrast 2D and 3D stencil reuse by tracing the
+// grids' addresses, never their values.
 type Grid2D struct {
 	// NI, NJ are the logical extents.
 	NI, NJ int
-	// DI is the allocated leading dimension (DI >= NI).
+	// DI is the leading dimension (DI >= NI).
 	DI   int
-	Data []float64
 	base int64
 }
 
@@ -25,17 +26,17 @@ func Check2D(ni, nj, di int) error {
 	return nil
 }
 
-// New2D allocates an unpadded NI x NJ grid. Like New3D it panics on
+// New2D builds an unpadded NI x NJ grid. Like New3D it panics on
 // non-positive extents; validated construction goes through New2DPadded.
 func New2D(ni, nj int) *Grid2D { return Must2DPadded(ni, nj, ni) } //lint:allow mustcheck -- documented panic-on-bad-extents constructor
 
-// New2DPadded allocates an NI x NJ grid with leading dimension DI,
+// New2DPadded builds an NI x NJ grid with leading dimension DI,
 // returning an error for invalid extents.
 func New2DPadded(ni, nj, di int) (*Grid2D, error) {
 	if err := Check2D(ni, nj, di); err != nil {
 		return nil, err
 	}
-	return &Grid2D{NI: ni, NJ: nj, DI: di, Data: make([]float64, di*nj)}, nil
+	return &Grid2D{NI: ni, NJ: nj, DI: di}, nil
 }
 
 // Must2DPadded is New2DPadded for pre-validated extents; it panics on
@@ -51,5 +52,6 @@ func Must2DPadded(ni, nj, di int) *Grid2D {
 // Base returns the element offset of the grid within its arena.
 func (g *Grid2D) Base() int64 { return g.base }
 
-// Elems returns the number of allocated elements, including padding.
+// Elems returns the number of elements the layout spans, including
+// padding.
 func (g *Grid2D) Elems() int { return g.DI * g.NJ }

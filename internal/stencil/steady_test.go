@@ -23,22 +23,9 @@ import (
 // so callers can assert the fast path was actually exercised.
 func steadyCompare(t *testing.T, label string, w *stencil.Workload, sweeps int, cfgs ...cache.Config) uint64 {
 	t.Helper()
-	return steadyCompareTuned(t, label, w, sweeps, func(st *cache.Steady) {
-		st.MinUnitAccesses = 1
-	}, cfgs...)
-}
-
-// steadyCompareTuned is steadyCompare with a hook to configure the
-// steady engine's detection gate before replay; a nil tune leaves the
-// production defaults in place.
-func steadyCompareTuned(t *testing.T, label string, w *stencil.Workload, sweeps int, tune func(*cache.Steady), cfgs ...cache.Config) uint64 {
-	t.Helper()
 	full := cache.MustHierarchy(cfgs...)
 	fast := cache.MustHierarchy(cfgs...)
 	st := cache.NewSteady(fast)
-	if tune != nil {
-		tune(st)
-	}
 	for sweep := 0; sweep < sweeps; sweep++ {
 		w.ReplayTrace(full)
 		w.ReplayTrace(st)
@@ -98,9 +85,8 @@ func TestSteadyDifferentialKernels(t *testing.T) {
 
 // TestSteadyDifferentialAllMethods is the production-path differential:
 // every kernel under every paper method, with the REAL selection plans
-// (core.Select against a scaled cache) and the engine's production
-// gate — MinUnitAccesses zero, so the default budget gate runs exactly
-// as the bench harness runs it. Every configuration must be
+// (core.Select against a scaled cache) and the engine's gates exactly
+// as the bench harness runs them. Every configuration must be
 // bit-identical to full replay.
 func TestSteadyDifferentialAllMethods(t *testing.T) {
 	cfgs := []cache.Config{
@@ -119,7 +105,7 @@ func TestSteadyDifferentialAllMethods(t *testing.T) {
 			plan := core.Select(m, cacheElems, n, n, k.Spec())
 			label := k.String() + "/" + m.String()
 			w := stencil.NewTraceWorkload(k, n, depth, plan)
-			skipped += steadyCompareTuned(t, label, w, sweeps, nil, cfgs...)
+			skipped += steadyCompare(t, label, w, sweeps, cfgs...)
 		}
 	}
 	if skipped == 0 {
@@ -187,8 +173,5 @@ func TestSteadyRandomGeometry(t *testing.T) {
 		}
 		w := stencil.NewTraceWorkload(k, n, depth, plan)
 		steadyCompare(t, k.String()+"/random", w, 2, cfgs...)
-		// Same geometry under the production gate (default budget):
-		// must also be exact.
-		steadyCompareTuned(t, k.String()+"/random-prod", w, 2, nil, cfgs...)
 	}
 }
