@@ -87,11 +87,11 @@ func (o Options) simulate(w *stencil.Workload, n int, h *cache.Hierarchy) SimRes
 	sd := o.steady(h)
 	sweeps := o.measuredSweeps()
 	cache.WarmMeasure(h, sd, sweeps, w.ReplayTrace)
-	if o.steadyDiag != nil && sd != nil {
-		*o.steadyDiag = sd.Diag()
-	}
-	if o.deltaDiag != nil && sd != nil {
-		*o.deltaDiag = sd.DeltaInfo()
+	if o.diag != nil {
+		if sd != nil {
+			o.diag.steady, o.diag.delta = sd.Diag(), sd.DeltaInfo()
+		}
+		o.diag.replay = h.ReplayCounts()
 	}
 	return SimResult{
 		N:     n,

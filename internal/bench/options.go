@@ -109,14 +109,10 @@ type Options struct {
 	// journaled, with the number of points finished so far. Tests use it
 	// to cancel mid-sweep at a deterministic spot.
 	pointHook func(done int)
-	// steadyDiag, when non-nil, is filled by SimulateStats with the
-	// steady sink's diagnostic counters (zero when the steady engine is
-	// disabled). The sweep engine points it at a per-attempt local to
-	// feed DiagHook.
-	steadyDiag *cache.SteadyDiag
-	// deltaDiag, when non-nil, is filled by SimulateStats with the delta
-	// layer's counters, same contract as steadyDiag.
-	deltaDiag *cache.DeltaDiag
+	// diag, when non-nil, is filled by SimulateStats with the engines'
+	// counters. The sweep engine points it at a per-attempt local to feed
+	// DiagHook.
+	diag *engineDiag
 	// faultInject, when non-nil, runs at the start of each point's
 	// simulation and may panic or sleep to exercise the degradation
 	// ladder (it sees the per-attempt options, so a fault can be keyed

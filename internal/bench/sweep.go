@@ -245,7 +245,9 @@ func forEachCtx(opt Options, n int, fn func(i int)) {
 // PointDiag is the per-point diagnostic record DiagHook receives: how
 // the point was resolved and, when the steady engine simulated it, the
 // engine's phase-handling counters. Shared and degraded points carry a
-// zero Steady (no steady sink ran).
+// zero Steady (no steady sink ran); Replay counts the accesses the raw
+// replay engine simulated for the point, by kind, and is zero only on
+// shared and failed points.
 type PointDiag struct {
 	Key      PointKey
 	Shared   string // lead method whose result was copied; "" when simulated
@@ -257,6 +259,15 @@ type PointDiag struct {
 	Abandoned int
 	Steady    cache.SteadyDiag
 	Delta     cache.DeltaDiag
+	Replay    cache.ReplayCounts
+}
+
+// engineDiag is the per-attempt target SimulateStats fills with the
+// engines' counters (Options.diag).
+type engineDiag struct {
+	steady cache.SteadyDiag
+	delta  cache.DeltaDiag
+	replay cache.ReplayCounts
 }
 
 // String renders the record for -v output.
@@ -273,7 +284,9 @@ func (d PointDiag) String() string {
 		if d.Delta.Traced || d.Delta.Sweeps > 0 {
 			s += " | delta " + d.Delta.String()
 		}
-		return s
+		r := d.Replay
+		return s + fmt.Sprintf(" | replay single=%d ladder=%d interleaved=%d walk=%d",
+			r.Single, r.Ladder, r.Interleaved, r.Walk)
 	}
 }
 
@@ -311,7 +324,7 @@ func planShareKey(k stencil.Kernel, m core.Method, n int, opt Options) (p core.P
 // marked Degraded and keeps the primary error in Err.
 func runPoint(k stencil.Kernel, m core.Method, n int, opt Options, paranoid bool) PointOutcome {
 	key := PointKey{Kernel: k.String(), Method: m.String(), N: n}
-	outc, sd, dd, abandoned := runPointLadder(k, m, n, opt, paranoid, key)
+	outc, ed, abandoned := runPointLadder(k, m, n, opt, paranoid, key)
 	if opt.DiagHook != nil {
 		d := PointDiag{
 			Key:       outc.Key,
@@ -322,11 +335,8 @@ func runPoint(k stencil.Kernel, m core.Method, n int, opt Options, paranoid bool
 		}
 		// A failed attempt may have timed out, and its abandoned
 		// goroutine could write the counters later; don't read them.
-		if sd != nil && !outc.Failed {
-			d.Steady = *sd
-		}
-		if dd != nil && !outc.Failed {
-			d.Delta = *dd
+		if ed != nil && !outc.Failed {
+			d.Steady, d.Delta, d.Replay = ed.steady, ed.delta, ed.replay
 		}
 		opt.DiagHook(d)
 	}
@@ -334,41 +344,39 @@ func runPoint(k stencil.Kernel, m core.Method, n int, opt Options, paranoid bool
 }
 
 // runPointLadder runs the ladder and returns the outcome together with
-// the steady- and delta-diagnostic counters of the attempt that produced
-// it. Each attempt writes fresh counter targets: a timed-out attempt's
-// abandoned goroutine may still write its own targets later, which must
-// not race with reading the attempt that actually finished.
-func runPointLadder(k stencil.Kernel, m core.Method, n int, opt Options, paranoid bool, key PointKey) (PointOutcome, *cache.SteadyDiag, *cache.DeltaDiag, int) {
+// the engine counters of the attempt that produced it. Each attempt
+// writes a fresh counter target: a timed-out attempt's abandoned
+// goroutine may still write its own target later, which must not race
+// with reading the attempt that actually finished.
+func runPointLadder(k stencil.Kernel, m core.Method, n int, opt Options, paranoid bool, key PointKey) (PointOutcome, *engineDiag, int) {
 	abandoned := 0
 	if opt.DiagHook != nil {
-		opt.steadyDiag = new(cache.SteadyDiag)
-		opt.deltaDiag = new(cache.DeltaDiag)
+		opt.diag = new(engineDiag)
 	}
 	res, err, left := simGuarded(k, m, n, opt, paranoid)
 	if left {
 		abandoned++
 	}
 	if err == nil {
-		return PointOutcome{Key: key, Res: res}, opt.steadyDiag, opt.deltaDiag, abandoned
+		return PointOutcome{Key: key, Res: res}, opt.diag, abandoned
 	}
 	if !opt.DisableSteady {
 		retry := opt
 		retry.DisableSteady = true
 		if opt.DiagHook != nil {
-			retry.steadyDiag = new(cache.SteadyDiag)
-			retry.deltaDiag = new(cache.DeltaDiag)
+			retry.diag = new(engineDiag)
 		}
 		res2, err2, left2 := simGuarded(k, m, n, retry, false)
 		if left2 {
 			abandoned++
 		}
 		if err2 == nil {
-			return PointOutcome{Key: key, Res: res2, Degraded: true, Err: err.Error()}, retry.steadyDiag, retry.deltaDiag, abandoned
+			return PointOutcome{Key: key, Res: res2, Degraded: true, Err: err.Error()}, retry.diag, abandoned
 		}
 		return PointOutcome{Key: key, Failed: true,
-			Err: fmt.Sprintf("%v; retry without steady engine: %v", err, err2)}, retry.steadyDiag, retry.deltaDiag, abandoned
+			Err: fmt.Sprintf("%v; retry without steady engine: %v", err, err2)}, retry.diag, abandoned
 	}
-	return PointOutcome{Key: key, Failed: true, Err: err.Error()}, opt.steadyDiag, opt.deltaDiag, abandoned
+	return PointOutcome{Key: key, Failed: true, Err: err.Error()}, opt.diag, abandoned
 }
 
 // simGuarded runs one simulation attempt under the watchdog. Go cannot

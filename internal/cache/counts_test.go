@@ -1,7 +1,8 @@
 package cache_test
 
-// The engine-count record: the exact L1/L2 statistics and every
-// steady-engine and delta-layer counter of a fixed set of simulated
+// The engine-count record: the exact L1/L2 statistics, every
+// steady-engine and delta-layer counter and the raw replay engine's
+// accesses by kind (Hierarchy.ReplayCounts) of a fixed set of simulated
 // points, compared line by line against testdata/counts.golden. Table 3
 // prints rates rounded to 0.1 pp, which cannot see a few misses or a
 // phase the engine stopped committing; this record can. It holds
@@ -48,9 +49,9 @@ type (
 )
 
 // countPoint renders one point of the record.
-func countPoint(name string, l1, l2 cache.Stats, st cache.SteadyDiag, dl cache.DeltaDiag) string {
-	return fmt.Sprintf("%s\n  L1 %+v\n  L2 %+v\n  steady %+v\n  delta %+v\n",
-		name, l1, l2, steadyFields(st), deltaFields(dl))
+func countPoint(name string, l1, l2 cache.Stats, st cache.SteadyDiag, dl cache.DeltaDiag, rc cache.ReplayCounts) string {
+	return fmt.Sprintf("%s\n  L1 %+v\n  L2 %+v\n  steady %+v\n  delta %+v\n  replay %+v\n",
+		name, l1, l2, steadyFields(st), deltaFields(dl), rc)
 }
 
 // sweepCounts simulates every point of opt for each kernel through the
@@ -80,7 +81,7 @@ func sweepCounts(t *testing.T, prefix string, opt bench.Options) []string {
 			if d.Shared != "" {
 				name += " shared from " + d.Shared
 			}
-			out = append(out, countPoint(name, o.Res.L1, o.Res.L2, d.Steady, d.Delta))
+			out = append(out, countPoint(name, o.Res.L1, o.Res.L2, d.Steady, d.Delta, d.Replay))
 		}
 	}
 	sort.Strings(out)
@@ -98,7 +99,7 @@ func mgridCounts(name string, plan core.Plan) string {
 		s.TraceVCycleRuns(sink)
 		s.TraceResidRuns(sink)
 	})
-	return countPoint(name, h.Level(0).Stats(), h.Level(1).Stats(), sd.Diag(), sd.DeltaInfo())
+	return countPoint(name, h.Level(0).Stats(), h.Level(1).Stats(), sd.Diag(), sd.DeltaInfo(), h.ReplayCounts())
 }
 
 // engineCounts computes the whole record.
@@ -212,7 +213,7 @@ func TestCoverageRuleSound(t *testing.T) {
 	stats := func(record string) []string {
 		var out []string
 		for _, line := range strings.Split(record, "\n") {
-			if !strings.HasPrefix(line, "  steady") && !strings.HasPrefix(line, "  delta") {
+			if !strings.HasPrefix(line, "  steady") && !strings.HasPrefix(line, "  delta") && !strings.HasPrefix(line, "  replay") {
 				out = append(out, line)
 			}
 		}

@@ -92,7 +92,25 @@ type replayMemo struct {
 
 	next int // round-robin victim
 	ways [memoWays]partMemo
+
+	counts ReplayCounts
 }
+
+// ReplayCounts counts the accesses a hierarchy's batched replay engine
+// simulated, by the routine that replayed them. Each component call
+// adds its lockstep count times its member count, so the hot loops pay
+// nothing per access. Statistics resets leave them alone: they count
+// the engine's work, warm-up included.
+type ReplayCounts struct {
+	Single      uint64 // whole runs, one line at a time (replayRun)
+	Ladder      uint64 // ladder clusters, exact prefix included (replayLadder)
+	Interleaved uint64 // per access in lockstep order (replayInterleaved)
+	Walk        uint64 // every group of a prefetching hierarchy (replayExactGroup)
+}
+
+// ReplayCounts returns the accesses the batched replay engine has
+// simulated on h, by kind.
+func (h *Hierarchy) ReplayCounts() ReplayCounts { return h.memo.counts }
 
 const memoWays = 16
 
@@ -158,6 +176,7 @@ func replayRuns(levels []*Cache, runs []Run, memo *replayMemo) {
 					all = append(all, int32(len(all)))
 				}
 				replayExactGroup(levels, g, all[:len(g)], n)
+				memo.counts.Walk += uint64(n) * uint64(len(g))
 			} else {
 				replayGroup(levels, g, n, memo, env)
 			}
@@ -176,8 +195,10 @@ type replayEnv struct {
 }
 
 func replayGroup(levels []*Cache, g []Run, n int64, memo *replayMemo, env *replayEnv) {
+	cnt := &memo.counts
 	if len(g) == 1 {
 		replayRun(levels, 0, g[0].Base, g[0].Stride, n, g[0].Store)
+		cnt.Single += uint64(n)
 		return
 	}
 	order, startIdx, kind, ncomp := memo.partition(levels, g, env)
@@ -186,12 +207,15 @@ func replayGroup(levels []*Cache, g []Run, n int64, memo *replayMemo, env *repla
 		if kind[c] == compSingle {
 			r := &g[order[s0]]
 			replayRun(levels, 0, r.Base, r.Stride, n, r.Store)
+			cnt.Single += uint64(n)
 			continue
 		}
 		members := order[s0:startIdx[c+1]]
+		acc := uint64(n) * uint64(len(members))
 		switch kind[c] {
 		case compLadder:
 			replayLadder(levels, g, members, n)
+			cnt.Ladder += acc
 		case compPhased:
 			// members is already permuted into phase order (see
 			// phasedOrder); each run replays alone at full speed.
@@ -199,8 +223,10 @@ func replayGroup(levels []*Cache, g []Run, n int64, memo *replayMemo, env *repla
 				r := &g[idx]
 				replayRun(levels, 0, r.Base, r.Stride, n, r.Store)
 			}
+			cnt.Single += acc
 		default:
 			replayInterleaved(levels, g, members, n)
+			cnt.Interleaved += acc
 		}
 	}
 }
