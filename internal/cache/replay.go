@@ -35,18 +35,23 @@ import "math/bits"
 //     it, so after a short exact prefix the leader replays as an
 //     isolated run and every trailing member's access is a guaranteed
 //     L1 hit (see replayLadder for the invariant).
-//   - Equal-stride runs that share sets but visit every shared set in
-//     disjoint lockstep windows replay one whole run at a time in phase
-//     order (see phasedOrder).
-//   - Any other component falls back to an exact per-access interleaved
-//     loop on the concrete caches — still devirtualized, still fed from
-//     runs, but paying one probe per access (replayInterleaved).
-//     Conflicting streams (the paper's pathological sizes) land here,
-//     which is what keeps their ping-ponging miss counts bit-identical.
-//     So do the half-stride clusters of red-black and of the multigrid
-//     restriction and prolongation: same-stride members within one line
-//     but less than a stride apart, so no member leads the others. The
-//     inlined loop replays them faster than batching them span by span.
+//   - An equal-stride component splits into clusters, the members whose
+//     bases lie within one finest line of each other: single runs,
+//     ladders, half-stride clusters. Neighbouring planes' rows share
+//     sets, but usually hundreds of lockstep indices apart; when every
+//     pair of clusters visits every shared set in disjoint lockstep
+//     windows, each cluster replays whole, as its own component, in
+//     phase order (see phaseClusters for the argument).
+//   - Any other component or cluster falls back to an exact per-access
+//     interleaved loop on the concrete caches — still devirtualized,
+//     still fed from runs, but paying one probe per access
+//     (replayInterleaved). Conflicting streams (the paper's pathological
+//     sizes) land here, which is what keeps their ping-ponging miss
+//     counts bit-identical. So do the half-stride clusters of red-black
+//     and of the multigrid restriction and prolongation: same-stride
+//     members within one line but less than a stride apart, so no
+//     member leads the others. The inlined loop replays them faster than
+//     batching them span by span.
 //
 // Next-line prefetching installs lines outside a run's own footprint,
 // which breaks the disjointness argument; a hierarchy with prefetching
@@ -62,7 +67,6 @@ type compKind uint8
 const (
 	compSingle  compKind = iota // one run: line-batched strided replay
 	compLadder                  // same stride, bases within one line, strict leader: prefix + leader run + hit arithmetic
-	compPhased                  // equal-stride runs with disjoint per-set visit windows: one full run at a time
 	compGeneral                 // exact per-access interleaved replay
 )
 
@@ -216,14 +220,6 @@ func replayGroup(levels []*Cache, g []Run, n int64, memo *replayMemo, env *repla
 		case compLadder:
 			replayLadder(levels, g, members, n)
 			cnt.Ladder += acc
-		case compPhased:
-			// members is already permuted into phase order (see
-			// phasedOrder); each run replays alone at full speed.
-			for _, idx := range members {
-				r := &g[idx]
-				replayRun(levels, 0, r.Base, r.Stride, n, r.Store)
-			}
-			cnt.Single += acc
 		default:
 			replayInterleaved(levels, g, members, n)
 			cnt.Interleaved += acc
@@ -404,13 +400,35 @@ func computePartition(levels []*Cache, g []Run, env *replayEnv, order, start []i
 		}
 	}
 	start[ncomp] = pos
-	for c := 0; c < ncomp; c++ {
-		kind[c] = classifyComponent(levels, g, order[start[c]:start[c+1]], env)
+	if n > maxGroup {
+		for c := 0; c < ncomp; c++ {
+			kind[c] = classifyComponent(g, order[start[c]:start[c+1]], env)
+		}
+		return ncomp
 	}
-	return ncomp
+	// Emit each component as its phase-ordered clusters where it splits
+	// into them. Splitting only adds components, so the boundaries are
+	// read from a copy.
+	var comp, cut [maxGroup + 1]int32
+	copy(comp[:], start[:ncomp+1])
+	out := 0
+	for c := 0; c < ncomp; c++ {
+		members := order[comp[c]:comp[c+1]]
+		nc := phaseClusters(levels, g, members, env, &cut)
+		for q := 0; q < nc; q++ {
+			start[out] = comp[c] + cut[q]
+			kind[out] = classifyComponent(g, members[cut[q]:cut[q+1]], env)
+			out++
+		}
+	}
+	start[out] = int32(n)
+	return out
 }
 
-func classifyComponent(levels []*Cache, g []Run, members []int32, env *replayEnv) compKind {
+// classifyComponent picks the replay of one component (or cluster):
+// single for one run, ladder for same-stride members within one finest
+// line that ladderShape accepts, the exact interleaved loop otherwise.
+func classifyComponent(g []Run, members []int32, env *replayEnv) compKind {
 	if len(members) == 1 {
 		return compSingle
 	}
@@ -421,47 +439,82 @@ func classifyComponent(levels []*Cache, g []Run, members []int32, env *replayEnv
 		if r.Stride != s {
 			return compGeneral
 		}
-		if r.Base < lo {
-			lo = r.Base
-		}
-		if r.Base > hi {
-			hi = r.Base
-		}
+		lo, hi = min(lo, r.Base), max(hi, r.Base)
 	}
-	// Within one finest line, at any lockstep index the members' lines
-	// differ by at most one at every level. Such a component without a
-	// strict leader has pairwise gaps below a line, which phasedOrder
-	// refuses, so it replays interleaved.
 	if hi-lo < env.lbFine && ladderShape(g, members, s, lo, hi, env) {
 		return compLadder
-	}
-	if phasedOrder(levels, g, members, s) {
-		return compPhased
 	}
 	return compGeneral
 }
 
-// phaseFail marks a pair whose per-set visit windows can overlap, so no
-// sequential order of the two runs reproduces the lockstep state.
+// phaseFail marks a pair of clusters whose per-set visit windows can
+// overlap, so no sequential order of the two reproduces the lockstep
+// state.
 const phaseFail = int8(2)
 
-// phasedOrder reports whether the equal-stride component can be replayed
-// one run at a time. The argument: cache state factorizes per set at
-// every level (an access's outcome at a level depends only on the prior
-// accesses reaching that level's set, and the stream a lower level
-// forwards upward is a per-set-determined subsequence). Two runs
-// therefore commute up to per-set order — any replay that keeps, for
-// every set of every level, all of one run's visits on the same side of
-// the other's reproduces the lockstep miss counts and final state
-// exactly. Equal-stride runs sweep the set space at the same rate, so
-// the lockstep gap between their visits to a shared set is a constant
-// (per wrap image), and when every such gap clears the visit-window
-// width the component decomposes into whole runs in phase order. On
-// success the members slice is permuted into that order.
-func phasedOrder(levels []*Cache, g []Run, members []int32, s int64) bool {
+// phaseClusters splits an equal-stride component into clusters that
+// replay whole, one after another, and returns how many there are. A
+// cluster is the members whose bases lie within one finest line of its
+// lowest: a single run, a ladder such as one of RESID's {i-1, i, i+1}
+// rows, or a half-stride cluster. On success members is permuted into
+// phase order, each cluster's members kept in group order, and cluster
+// q is members[cut[q]:cut[q+1]]. Otherwise (unequal or zero strides,
+// one cluster, windows that can overlap, or a cyclic order) it returns
+// 1 and leaves members as they were.
+//
+// Exactness composes two arguments.
+//
+//   - Cache state factorizes per set at every level: an access's
+//     outcome at a level depends only on the prior accesses reaching
+//     that level's set, and the stream a level forwards down is a
+//     per-set-determined subsequence. Any replay that keeps, for every
+//     set of every level, all of one cluster's visits on the same side
+//     of another's therefore reproduces the lockstep statistics and
+//     final state, LRU order included. clusterDir proves that side for
+//     every pair, so the component replays as its clusters in phase
+//     order, each exactly as if it ran alone.
+//   - A cluster run alone is what the single, ladder and interleaved
+//     replays are exact for. In particular the ladder invariant (a line
+//     the leader installs stays resident until every trailing member
+//     has passed it) holds as for an isolated ladder, because no other
+//     cluster touches the ladder's sets during its windows.
+func phaseClusters(levels []*Cache, g []Run, members []int32, env *replayEnv, cut *[maxGroup + 1]int32) int {
 	k := len(members)
-	if s == 0 || k > maxGroup {
-		return false
+	cut[0], cut[1] = 0, int32(k)
+	s := g[members[0]].Stride
+	if k < 2 || s == 0 {
+		return 1
+	}
+	for _, mi := range members[1:] {
+		if g[mi].Stride != s {
+			return 1
+		}
+	}
+	// Member positions by ascending base (insertion sort, k <= maxGroup);
+	// a base a finest line or more above its cluster's lowest opens the
+	// next cluster.
+	var byBase [maxGroup]int32
+	for p := 0; p < k; p++ {
+		q := p
+		for ; q > 0 && g[members[byBase[q-1]]].Base > g[members[p]].Base; q-- {
+			byBase[q] = byBase[q-1]
+		}
+		byBase[q] = int32(p)
+	}
+	var cid [maxGroup]int8     // cluster of each member position
+	var lo, hi [maxGroup]int64 // lowest and highest base of each cluster
+	nc := 0
+	for _, p := range byBase[:k] {
+		b := g[members[p]].Base
+		if nc == 0 || b-lo[nc-1] >= env.lbFine {
+			lo[nc] = b
+			nc++
+		}
+		hi[nc-1] = b
+		cid[p] = int8(nc - 1)
+	}
+	if nc == 1 {
+		return 1
 	}
 	abs := s
 	if abs < 0 {
@@ -469,82 +522,91 @@ func phasedOrder(levels []*Cache, g []Run, members []int32, s int64) bool {
 	}
 	span := (int64(g[members[0]].Count) - 1) * abs
 	var rel [maxGroup][maxGroup]int8 // +1: row's shared-set visits precede column's
-	for xi := 0; xi < k; xi++ {
-		for yi := xi + 1; yi < k; yi++ {
-			d := phaseDir(levels, &g[members[xi]], &g[members[yi]], abs, span)
+	for x := 0; x < nc; x++ {
+		for y := x + 1; y < nc; y++ {
+			d := clusterDir(levels, lo[y]-lo[x], hi[x]-lo[x]+hi[y]-lo[y], abs, span)
 			if d == phaseFail {
-				return false
+				return 1
 			}
 			if s < 0 {
 				// Descending runs visit high lines first, flipping who
 				// reaches a shared set earlier.
 				d = -d
 			}
-			rel[xi][yi] = d
-			rel[yi][xi] = -d
+			rel[x][y], rel[y][x] = d, -d
 		}
 	}
-	// Topological selection: emit any member no remaining member must
+	// Topological selection: emit any cluster no remaining cluster must
 	// precede. A cycle (contradictory pairwise phases) fails.
-	var out [maxGroup]int32
+	var ord [maxGroup]int8
 	var used [maxGroup]bool
-	for pos := 0; pos < k; pos++ {
+	for pos := 0; pos < nc; pos++ {
 		found := -1
-		for i := 0; i < k && found < 0; i++ {
+		for i := 0; i < nc && found < 0; i++ {
 			if used[i] {
 				continue
 			}
-			ok := true
-			for j := 0; j < k; j++ {
+			found = i
+			for j := 0; j < nc; j++ {
 				if !used[j] && rel[j][i] > 0 {
-					ok = false
+					found = -1
 					break
 				}
 			}
-			if ok {
-				found = i
-			}
 		}
 		if found < 0 {
-			return false
+			return 1
 		}
 		used[found] = true
-		out[pos] = members[found]
+		ord[pos] = int8(found)
 	}
-	copy(members, out[:k])
-	return true
+	var orig [maxGroup]int32
+	copy(orig[:], members)
+	pos := int32(0)
+	for q, c := range ord[:nc] {
+		cut[q] = pos
+		for p, mi := range orig[:k] {
+			if cid[p] == c {
+				members[pos] = mi
+				pos++
+			}
+		}
+	}
+	cut[nc] = pos
+	return nc
 }
 
-// phaseDir decides, for two runs of equal |stride| abs covering byte
-// ranges of equal length span, whether every set they can share at any
-// level is visited by x with a full window to spare before y (+1), by y
-// before x (-1), or by neither (0: no shared set). Directions are in
-// ascending-address terms; the caller flips for negative strides.
+// clusterDir decides, for two clusters whose members share one |stride|
+// abs and each cover span bytes, whether every set they can share at
+// any level is visited by x with a full window to spare before y (+1),
+// by y before x (-1), or by neither (0: no shared set). delta is y's
+// lowest base minus x's and w the sum of the two clusters' widths
+// (highest base minus lowest). Directions are in ascending-address
+// terms; the caller flips for negative strides.
 //
 // Geometry: at a level with line size lb and wrap period M = sets*lb, x
 // and y can share a set only where their address ranges land lb-close
-// modulo M, i.e. for line offsets j*M with j*M in
-// [delta-span-lb, delta+span+lb] (delta = low-address distance). For
-// such a j the lockstep-index gap between their visits to any shared
-// set is (j*M-delta)/abs — constant, because equal strides sweep sets at
-// the same rate. A visit window spans at most lb-1+abs bytes of
-// lockstep progress, so |j*M-delta| >= lb+2*abs keeps the windows
-// disjoint (with slack for the ceil rounding of window ends).
-func phaseDir(levels []*Cache, x, y *Run, abs, span int64) int8 {
-	xLo, _ := x.addrRange()
-	yLo, _ := y.addrRange()
-	delta := yLo - xLo
+// modulo M, i.e. for line offsets j*M within [delta-span-lb-w,
+// delta+span+lb+w]. For such a j the lockstep-index gap between their
+// visits to any shared set is (j*M-delta)/abs — constant, because equal
+// strides sweep sets at the same rate. A cluster's visit window to a
+// line spans at most lb-1+abs bytes of lockstep progress plus its
+// width (its highest member enters the line first, its lowest leaves
+// last), so |j*M-delta| >= lb+2*abs+w keeps the windows disjoint, with
+// slack for the rounding of window ends. Runs (width 0) take the same
+// test without the width terms.
+func clusterDir(levels []*Cache, delta, w, abs, span int64) int8 {
 	dir := int8(0)
 	for _, c := range levels {
 		lb := int64(1) << c.lineShift
 		M := int64(c.sets) << c.lineShift
-		if span+2*lb > M {
-			// The run wraps the set space: it revisits sets, so no
+		if span+w+2*lb > M {
+			// The cluster wraps the set space: it revisits sets, so no
 			// single visit window exists.
 			return phaseFail
 		}
-		minGap := lb + 2*abs
-		lo, hi := delta-span-lb, delta+span+lb
+		minGap := lb + 2*abs + w
+		lo, hi := delta-span-lb-w, delta+span+lb+w
 		for j := -floorDiv(-lo, M); j*M <= hi; j++ {
 			gap := j*M - delta
 			var d int8

@@ -198,8 +198,8 @@ func TestReplayPhasedComponents(t *testing.T) {
 	// The untiled padded Jacobi shape that motivates the path: two
 	// full-row plane neighbors (DI=288, DJ=272 after GcdPadNT at N=256)
 	// whose 64-line footprints partially alias in the UltraSparc2 L1 but
-	// 224 lockstep indices apart. It must classify as phased, not fall
-	// back to the interleaved component.
+	// 224 lockstep indices apart. It must split into two single runs,
+	// not fall back to the interleaved component.
 	g := []Run{
 		{Base: 19431944, Stride: 8, Count: 254},
 		{Base: 20056328, Stride: 8, Count: 254, Cont: true},
@@ -209,8 +209,8 @@ func TestReplayPhasedComponents(t *testing.T) {
 	var order, start [maxGroup + 1]int32
 	var kind [maxGroup]compKind
 	ncomp := computePartition(h.levels, g, &env, order[:len(g)], start[:len(g)+1], kind[:len(g)])
-	if ncomp != 1 || kind[0] != compPhased {
-		t.Fatalf("partition: ncomp=%d kind=%v, want one compPhased component", ncomp, kind[:ncomp])
+	if ncomp != 2 || kind[0] != compSingle || kind[1] != compSingle {
+		t.Fatalf("partition: ncomp=%d kind=%v, want two compSingle components", ncomp, kind[:ncomp])
 	}
 	// The k+1 plane's sets lie 224 indices ahead of the k-1 plane's, so
 	// phase order must put the second run first.
@@ -231,8 +231,10 @@ func TestReplayPhasedComponents(t *testing.T) {
 
 	// Randomized phase-gap boundaries: equal-stride groups whose base
 	// deltas hover around multiples of each level's set period, where
-	// the visit windows are closest and the classifier must choose
-	// between phased and the exact interleaved fallback.
+	// the visit windows are closest and the partition must choose
+	// between phase-ordered clusters and the exact interleaved fallback.
+	// Some members are three-run {-8, 0, +8} clusters: ladders at
+	// stride ±8, half-stride clusters at 16, spread ones at 64.
 	for name, cfgs := range replayConfigs() {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(99))
@@ -251,13 +253,19 @@ func TestReplayPhasedComponents(t *testing.T) {
 					// crosses the minimum-gap threshold in both directions.
 					period := int64(cfgs[0].SizeBytes)
 					delta := int64(rng.Intn(5)-2)*period + int64(rng.Intn(301)-150)
-					runs = append(runs, Run{
-						Base:   base + delta,
-						Stride: stride,
-						Count:  count,
-						Store:  rng.Intn(5) == 0,
-						Cont:   m > 0,
-					})
+					offs := []int64{0}
+					if rng.Intn(2) == 0 {
+						offs = []int64{-8, 0, 8}
+					}
+					for _, off := range offs {
+						runs = append(runs, Run{
+							Base:   base + delta + off,
+							Stride: stride,
+							Count:  count,
+							Store:  rng.Intn(5) == 0,
+							Cont:   len(runs) > 0,
+						})
+					}
 				}
 				ExpandRuns(runs, want)
 				got.ReplayRuns(runs)
@@ -320,6 +328,133 @@ func TestReplayHalfStrideClusters(t *testing.T) {
 				for _, align := range []int64{0, 8, 24, 56} {
 					for _, count := range []int32{5, 300} {
 						g := group(1<<20+align, sh.stride, count, sh.ms)
+						ExpandRuns(g, want)
+						got.ReplayRuns(g)
+						checkSameState(t, fmt.Sprintf("%s align %d count %d", sh.name, align, count), want.levels, got.levels)
+						if t.Failed() {
+							return
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// partitionString renders a group's partition in replay order: each
+// component's kind (S single, L ladder, G interleaved) and its members.
+func partitionString(h *Hierarchy, g []Run) string {
+	h.ReplayRuns(nil) // derives the hierarchy's replayEnv
+	var order, start [maxGroup + 1]int32
+	var kind [maxGroup]compKind
+	ncomp := computePartition(h.levels, g, &h.memo.env, order[:len(g)], start[:len(g)+1], kind[:len(g)])
+	out := ""
+	for c := 0; c < ncomp; c++ {
+		if c > 0 {
+			out += " "
+		}
+		out += fmt.Sprintf("%c%v", "SLG"[kind[c]], order[start[c]:start[c+1]])
+	}
+	return out
+}
+
+// TestReplayPhaseOrderedClusters pins the cluster split of equal-stride
+// components: members within one finest line form a cluster, and when
+// every pair of clusters visits every shared set in disjoint lockstep
+// windows each cluster replays whole, as its own single, ladder or
+// interleaved component, in phase order. With ascending strides the
+// cluster that sits higher in set space reaches a shared set first;
+// descending strides flip that. Overlapping windows keep the component
+// whole. Every shape must then replay exactly on every test geometry.
+func TestReplayPhaseOrderedClusters(t *testing.T) {
+	type member struct {
+		off   int64
+		store bool
+	}
+	row := func(off int64) []member { return []member{{off - 8, false}, {off, false}, {off + 8, false}} }
+	// RESID at N=100, K=16 (Orig): R, V and U are consecutive 1.28 MB
+	// arrays with 800-byte rows and 80,000-byte planes. A plane is
+	// -1,920 bytes in the set space of the 16K direct-mapped L1 and of
+	// the advisor's 16K 2-way L1, so the nine U rows' footprints
+	// overlap in sets, each pair 100 or more lockstep indices apart.
+	const arr, drow, dplane = 1280000, 800, 80000
+	resid := []member{{0, false}} // V(i,j,k)
+	for _, dk := range []int64{0, -1, 1} {
+		for _, dj := range []int64{0, -1, 1} {
+			resid = append(resid, row(arr+dk*dplane+dj*drow)...)
+		}
+	}
+	resid = append(resid, member{-arr, true}) // R(i,j,k)
+	// JACOBI's {i-1, i+1} ladder with its K±1 rows, planes 400 bytes
+	// off a multiple of the L1's set period: each K neighbour's row
+	// overlaps the ladder's sets 51 lockstep indices apart.
+	jacobi := []member{{-8, false}, {8, false}, {-4*16384 - 400, false}, {4*16384 + 400, false}}
+	// Red-black's half-stride cluster with its K±1 rows, planes placed
+	// 10 lines off a multiple of the L1's set period.
+	redblack := []member{{0, false}, {-8, false}, {8, false}, {0, true}, {-16384 - 320, false}, {16384 + 320, false}}
+	// The JACOBI shape with its planes 16 bytes off the period: the
+	// rows reach the ladder's sets at the same lockstep indices.
+	overlap := []member{{-8, false}, {8, false}, {-16384 - 16, false}, {16384 + 16, false}}
+	// A four-run ladder, 24 bytes wide, and a row 48 bytes above a
+	// multiple of the period: the row reaches each shared set six
+	// indices before the leader, and the ladder's lowest member is
+	// still in the set then. Only the width term of the gap sees it.
+	wide := []member{{0, false}, {8, false}, {16, false}, {24, false}, {4*16384 + 48, false}}
+
+	const residOrder = "L[16 17 18] L[10 11 12] L[13 14 15] L[7 8 9] L[1 2 3] L[4 5 6] L[25 26 27] L[19 20 21] S[0] L[22 23 24] S[28]"
+	dm := []Config{UltraSparc2L1(), UltraSparc2L2()}
+	assoc2 := []Config{{SizeBytes: 16 << 10, LineBytes: 32, Assoc: 2}, UltraSparc2L2()}
+	shapes := []struct {
+		name   string
+		stride int64
+		count  int32
+		ms     []member
+		cfgs   []Config
+		want   string
+	}{
+		// Rows in descending set position: (k-1, j+1) at +2,720 bytes
+		// from U(j,k) down to (k+1, j-1) at -2,720, with V at -2,048
+		// and R at -4,096.
+		{"resid-dm", 8, 98, resid, dm, residOrder},
+		{"resid-assoc2", 8, 98, resid, assoc2, residOrder},
+		{"jacobi", 8, 88, jacobi, dm, "S[3] L[0 1] S[2]"},
+		{"redblack", 16, 48, redblack, dm, "S[5] G[0 1 2 3] S[4]"},
+		{"descending", -8, 88, jacobi, dm, "S[2] L[0 1] S[3]"},
+		{"overlap", 8, 88, overlap, dm, "G[0 1 2 3]"},
+		{"wide", 8, 88, wide, dm, "G[0 1 2 3 4]"},
+	}
+	group := func(base, stride int64, count int32, ms []member) []Run {
+		g := make([]Run, len(ms))
+		for i, m := range ms {
+			g[i] = Run{Base: base + m.off, Stride: stride, Count: count, Store: m.store, Cont: i > 0}
+		}
+		return g
+	}
+	const base = 1 << 22
+	for _, sh := range shapes {
+		if got := partitionString(MustHierarchy(sh.cfgs...), group(base, sh.stride, sh.count, sh.ms)); got != sh.want {
+			t.Errorf("%s: partition %s, want %s", sh.name, got, sh.want)
+		}
+	}
+	// The split works in fixed arrays: partitioning allocates nothing.
+	h := MustHierarchy(dm...)
+	h.ReplayRuns(nil)
+	g := group(base, 8, 98, resid)
+	var order, start [maxGroup + 1]int32
+	var kind [maxGroup]compKind
+	if a := testing.AllocsPerRun(20, func() {
+		computePartition(h.levels, g, &h.memo.env, order[:len(g)], start[:len(g)+1], kind[:len(g)])
+	}); a != 0 {
+		t.Errorf("computePartition allocates %.0f times per call", a)
+	}
+
+	for name, cfgs := range replayConfigs() {
+		t.Run(name, func(t *testing.T) {
+			for _, sh := range shapes {
+				want, got := MustHierarchy(cfgs...), MustHierarchy(cfgs...)
+				for _, align := range []int64{0, 8, 24, 56} {
+					for _, count := range []int32{7, sh.count} {
+						g := group(base+align, sh.stride, count, sh.ms)
 						ExpandRuns(g, want)
 						got.ReplayRuns(g)
 						checkSameState(t, fmt.Sprintf("%s align %d count %d", sh.name, align, count), want.levels, got.levels)
