@@ -334,17 +334,21 @@ func BenchmarkCacheSimThroughput(b *testing.B) {
 // replays. ResidOrig128
 // is the advisor's conflict-bound case: untiled RESID at N=128, K=16,
 // whose rows and planes collide in the L1, on the advisor's three L1
-// geometries over the paper's L2.
+// geometries over the paper's L2. ResidOrig100 is the same at N=100,
+// where neighbouring planes' rows share L1 sets but at different
+// lockstep indices, so its nine {i-1, i, i+1} rows replay as
+// phase-ordered ladders.
 //
 // The conflict partition sends each stream's accesses to these kinds:
 //
-//	Jacobi/Orig        single, general (conflicts)
+//	Jacobi/Orig        single, interleaved (conflicts)
 //	Jacobi/GcdPad      single, ladder
-//	Jacobi/GcdPadNT    single, ladder, phased
-//	RedBlack/Orig      single, general (conflicts)
-//	RedBlack/GcdPad    single, general (half-stride clusters, half the accesses)
-//	RedBlack/GcdPadNT  phased, general (half-stride clusters, half the accesses)
-//	ResidOrig128       general (conflicts), every access
+//	Jacobi/GcdPadNT    single (phase-ordered full rows), ladder
+//	RedBlack/Orig      single, interleaved (conflicts)
+//	RedBlack/GcdPad    single, interleaved (half-stride clusters, half the accesses)
+//	RedBlack/GcdPadNT  single, interleaved (half-stride clusters, half the accesses)
+//	ResidOrig128       interleaved, every access (its planes alias exactly)
+//	ResidOrig100       ladder (93%), single (phase-ordered clusters)
 //
 // Metrics are simulated Maccess/s and ns/access.
 func BenchmarkReplayRuns(b *testing.B) {
@@ -368,18 +372,20 @@ func BenchmarkReplayRuns(b *testing.B) {
 		rb := stencil.NewTraceWorkload(stencil.RedBlack, n, k, core.Select(m, 2048, n, n, stencil.RedBlack.Spec()))
 		b.Run("RedBlack/"+m.String(), func(b *testing.B) { benchReplay(b, rb, cache.UltraSparc2()) })
 	}
-	rw := stencil.NewTraceWorkload(stencil.Resid, 128, 16, core.Select(core.Orig, 2048, 128, 128, stencil.Resid.Spec()))
-	for _, l1 := range []struct {
-		name string
-		cfg  cache.Config
-	}{
-		{"dm16k", cache.UltraSparc2L1()},
-		{"assoc2", cache.Config{SizeBytes: 16 << 10, LineBytes: 32, Assoc: 2}},
-		{"dm32k", cache.Config{SizeBytes: 32 << 10, LineBytes: 64, Assoc: 1}},
-	} {
-		b.Run("ResidOrig128/"+l1.name, func(b *testing.B) {
-			benchReplay(b, rw, cache.MustHierarchy(l1.cfg, cache.UltraSparc2L2()))
-		})
+	for _, rn := range []int{128, 100} {
+		rw := stencil.NewTraceWorkload(stencil.Resid, rn, 16, core.Select(core.Orig, 2048, rn, rn, stencil.Resid.Spec()))
+		for _, l1 := range []struct {
+			name string
+			cfg  cache.Config
+		}{
+			{"dm16k", cache.UltraSparc2L1()},
+			{"assoc2", cache.Config{SizeBytes: 16 << 10, LineBytes: 32, Assoc: 2}},
+			{"dm32k", cache.Config{SizeBytes: 32 << 10, LineBytes: 64, Assoc: 1}},
+		} {
+			b.Run(fmt.Sprintf("ResidOrig%d/%s", rn, l1.name), func(b *testing.B) {
+				benchReplay(b, rw, cache.MustHierarchy(l1.cfg, cache.UltraSparc2L2()))
+			})
+		}
 	}
 }
 

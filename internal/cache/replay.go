@@ -247,56 +247,75 @@ func replayExactGroup(levels []*Cache, g []Run, members []int32, n int64) {
 }
 
 // loadThrough and storeThrough walk an access down the hierarchy exactly
-// like Hierarchy.Load/Store. The common direct-mapped power-of-two level
-// is inlined (identical to Cache.Load/Store for that geometry); anything
-// else — associative sets, prefetching levels — takes the method call.
+// like Hierarchy.Load/Store. The common power-of-two direct-mapped and
+// 2-way LRU levels are inlined (identical to Cache.Load/Store for those
+// geometries, stamps included); anything else — wider sets, prefetching
+// levels — takes the method call.
 func loadThrough(levels []*Cache, addr int64) {
 	for _, c := range levels {
-		if c.assoc == 1 && c.pow2 && !c.cfg.NextLinePrefetch {
-			line := addr >> c.lineShift
-			s := int(line & c.setMask)
-			c.stats.Loads++
-			if c.tags[s] == line {
+		if !c.pow2 || c.assoc > 2 || c.cfg.NextLinePrefetch {
+			if c.Load(addr) {
 				return
 			}
-			c.stats.LoadMisses++
-			if c.tags[s] != -1 && c.dirty[s] {
-				c.stats.Writebacks++
-			}
-			c.tags[s] = line
-			c.dirty[s] = false
 			continue
 		}
-		if c.Load(addr) {
+		line := addr >> c.lineShift
+		c.stats.Loads++
+		s := int(line & c.setMask)
+		if c.assoc == 2 {
+			slot, hit := lru2(c.tags, c.stamp, s<<1, line)
+			c.clock++
+			c.stamp[slot] = c.clock
+			if hit {
+				return
+			}
+			s = slot
+		} else if c.tags[s] == line {
 			return
 		}
+		c.stats.LoadMisses++
+		if c.tags[s] != -1 && c.dirty[s] {
+			c.stats.Writebacks++
+		}
+		c.tags[s] = line
+		c.dirty[s] = false
 	}
 }
 
 func storeThrough(levels []*Cache, addr int64) {
 	for _, c := range levels {
-		if c.assoc == 1 && c.pow2 && !c.cfg.NextLinePrefetch {
-			line := addr >> c.lineShift
-			s := int(line & c.setMask)
-			c.stats.Stores++
-			if c.tags[s] == line {
-				if c.cfg.WriteAllocate {
-					c.dirty[s] = true
-				}
+		if !c.pow2 || c.assoc > 2 || c.cfg.NextLinePrefetch {
+			if c.Store(addr) {
 				return
-			}
-			c.stats.StoreMisses++
-			if c.cfg.WriteAllocate {
-				if c.tags[s] != -1 && c.dirty[s] {
-					c.stats.Writebacks++
-				}
-				c.tags[s] = line
-				c.dirty[s] = true
 			}
 			continue
 		}
-		if c.Store(addr) {
+		line := addr >> c.lineShift
+		c.stats.Stores++
+		s := int(line & c.setMask)
+		hit := false
+		if c.assoc == 2 {
+			s, hit = lru2(c.tags, c.stamp, s<<1, line)
+			if hit || c.cfg.WriteAllocate {
+				c.clock++
+				c.stamp[s] = c.clock
+			}
+		} else {
+			hit = c.tags[s] == line
+		}
+		if hit {
+			if c.cfg.WriteAllocate {
+				c.dirty[s] = true
+			}
 			return
+		}
+		c.stats.StoreMisses++
+		if c.cfg.WriteAllocate {
+			if c.tags[s] != -1 && c.dirty[s] {
+				c.stats.Writebacks++
+			}
+			c.tags[s] = line
+			c.dirty[s] = true
 		}
 	}
 }
@@ -777,6 +796,13 @@ func replayRun(levels []*Cache, lv int, base, stride, count int64, store bool) {
 		}
 		return
 	}
+	if fullSpan != 0 && c.assoc == 2 && c.pow2 && len(levels) == lv+2 {
+		if c2 := levels[lv+1]; c2.assoc == 1 && c2.pow2 && c2.cfg.WriteAllocate &&
+			!c2.cfg.NextLinePrefetch && c2.lineShift >= c.lineShift {
+			replayRun2Way(c, c2, base, stride, count, fullSpan, strideShift, lb, store)
+			return
+		}
+	}
 	for i := int64(0); i < count; {
 		addr := base + i*stride
 		var span int64
@@ -1016,6 +1042,116 @@ func replayStoreDM(levels []*Cache, lv int, c *Cache, base, stride, count, fullS
 	}
 	c.stats.Stores += uint64(count)
 	c.stats.StoreMisses += misses
+}
+
+// replayRun2Way is the replayRun loop for a positive line-dividing
+// stride on a power-of-two 2-way LRU cache over the paper's L2 shape, a
+// single power-of-two direct-mapped write-allocate level c2 with lines
+// no finer (the advisor's 16K 2-way L1 over the UltraSparc2 L2). Each
+// line takes one probe with Cache.probe's stamp refresh and
+// Cache.install's victim choice inlined (lru2), exactly the
+// transitions of replayRun's general loop, and its other accesses are
+// counted arithmetically. Misses resolve in c2 inline, as in
+// replayLoadDM and replayStoreDM: a load or write-allocate store miss
+// forwards one access, a write-around store miss its whole span, which
+// never straddles a c2 line.
+func replayRun2Way(c, c2 *Cache, base, stride, count, fullSpan int64, strideShift uint, lb int64, store bool) {
+	tags, dirty, stamp, clock := c.tags, c.dirty, c.stamp, c.clock
+	mask := c.setMask
+	wa := c.cfg.WriteAllocate
+	tags2, dirty2, shift2, mask2 := c2.tags, c2.dirty, c2.lineShift, c2.setMask
+	// Only this run reaches c2, and c2 installs every line it misses,
+	// so a repeat of the previous c2 line is a hit without a lookup.
+	prev2 := int64(-1)
+	forward := func(addr, n int64, st bool) {
+		line2 := addr >> shift2
+		if st {
+			c2.stats.Stores += uint64(n)
+		} else {
+			c2.stats.Loads++
+		}
+		if line2 == prev2 {
+			return
+		}
+		s2 := int(line2 & mask2)
+		if tags2[s2] != line2 {
+			if st {
+				c2.stats.StoreMisses++
+			} else {
+				c2.stats.LoadMisses++
+			}
+			if tags2[s2] != -1 && dirty2[s2] {
+				c2.stats.Writebacks++
+			}
+			tags2[s2] = line2
+			dirty2[s2] = false
+		}
+		if st {
+			dirty2[s2] = true
+		}
+		prev2 = line2
+	}
+	var misses uint64
+	line := base >> c.lineShift
+	span := (lb - (base & (lb - 1)) + stride - 1) >> strideShift
+	for i := int64(0); ; {
+		if span > count-i {
+			span = count - i
+		}
+		slot, hit := lru2(tags, stamp, int(line&mask)<<1, line)
+		switch {
+		case hit:
+			clock++
+			stamp[slot] = clock
+			if store && wa {
+				dirty[slot] = true
+			}
+		case store && !wa:
+			// Write-around miss: nothing is installed, the whole span
+			// misses.
+			misses += uint64(span)
+			forward(base+i*stride, span, true)
+		default:
+			misses++
+			clock++
+			stamp[slot] = clock
+			if tags[slot] != -1 && dirty[slot] {
+				c.stats.Writebacks++
+			}
+			tags[slot] = line
+			dirty[slot] = store
+			forward(base+i*stride, 1, store)
+		}
+		if i += span; i >= count {
+			break
+		}
+		line++
+		span = fullSpan
+	}
+	c.clock = clock
+	if store {
+		c.stats.Stores += uint64(count)
+		c.stats.StoreMisses += misses
+	} else {
+		c.stats.Loads += uint64(count)
+		c.stats.LoadMisses += misses
+	}
+}
+
+// lru2 looks line up in the 2-way set whose ways are b and b+1. On a
+// hit it returns the line's slot; on a miss, Cache.install's victim: an
+// empty way first, else the smaller stamp (way 0 on a tie). The caller
+// refreshes the stamp.
+func lru2(tags []int64, stamp []uint64, b int, line int64) (slot int, hit bool) {
+	switch {
+	case tags[b] == line:
+		return b, true
+	case tags[b+1] == line:
+		return b + 1, true
+	case tags[b] != -1 && (tags[b+1] == -1 || stamp[b+1] < stamp[b]):
+		return b + 1, false
+	}
+	return b, false
 }
 
 // storeSpanThrough forwards a write-around store miss span down the
