@@ -298,20 +298,72 @@ func (s *Steady) commitRecord(r *steadyPhase, stats []Stats) {
 }
 
 // deltaEndStateEq reports whether the live state equals record r's end
-// state. Only direct-mapped levels compare cheaply and exactly by raw
-// (tag, dirty); any set-associative level makes this conservatively
-// false (raw stamps are not order-normalized).
+// state as the replacement policy sees it. A direct-mapped level
+// compares raw (tag, dirty). A set-associative level compares each set's
+// resident lines with their dirty bits and their recency order: raw
+// stamps differ between sweeps and ways may hold the lines in another
+// arrangement, but LRU behavior depends on neither.
 func (s *Steady) deltaEndStateEq(r *steadyPhase) bool {
 	for li, c := range s.h.levels {
-		if c.assoc != 1 {
-			return false
-		}
 		et, ed := r.endTags[li], r.endDirty[li]
 		if len(et) != len(c.tags) {
 			return false
 		}
-		for i := range c.tags {
-			if c.tags[i] != et[i] || c.dirty[i] != ed[i] {
+		if c.assoc == 1 {
+			for i := range c.tags {
+				if c.tags[i] != et[i] || c.dirty[i] != ed[i] {
+					return false
+				}
+			}
+			continue
+		}
+		es := r.endStamp[li]
+		for b := 0; b < len(c.tags); b += c.assoc {
+			if !sameLRUSet(c.tags[b:b+c.assoc], c.dirty[b:b+c.assoc], c.stamp[b:b+c.assoc],
+				et[b:b+c.assoc], ed[b:b+c.assoc], es[b:b+c.assoc]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// sameLRUSet reports whether two states of one set hold the same lines
+// with the same dirty bits in the same recency order, whatever ways
+// hold them. Tags are unique within a set, and valid ways' stamps are
+// distinct.
+func sameLRUSet(ta []int64, da []bool, sa []uint64, tb []int64, db []bool, sb []uint64) bool {
+	var match [64]int // way of tb holding ta's line; sets wider than 64 ways never compare equal
+	if len(ta) > len(match) {
+		return false
+	}
+	na, nb := 0, 0
+	for w, t := range ta {
+		if t == -1 {
+			continue
+		}
+		na++
+		match[w] = -1
+		for v, u := range tb {
+			if u == t {
+				match[w] = v
+			}
+		}
+		if v := match[w]; v < 0 || da[w] != db[v] {
+			return false
+		}
+	}
+	for _, u := range tb {
+		if u != -1 {
+			nb++
+		}
+	}
+	if na != nb {
+		return false
+	}
+	for w := range ta {
+		for x := 0; x < w; x++ {
+			if ta[w] != -1 && ta[x] != -1 && (sa[w] < sa[x]) != (sb[match[w]] < sb[match[x]]) {
 				return false
 			}
 		}

@@ -532,15 +532,14 @@ var (
 // marker in O(runs of unit 0). It reports false when the phase cannot
 // wrap some level before it ends: when R, the lines from the lowest
 // address of unit 0's runs to the highest plus (planes-1)·Δ, is at
-// most the level's set count and unit 0 brought a line into the level
-// (a load miss there, or a store miss on a write-allocate level). R is
-// widened by a line at each end (a unit may run one element past its
-// translate, as red-black's parity does) and by one more on top of a
-// prefetching level. The rule takes R to hold every line the phase
-// brings into the level: later units are translates of unit 0 or
-// their clamped boundary subsets.
+// most the level's set count. R is widened by a line at each end (a
+// unit may run one element past its translate, as red-black's parity
+// does) and by one more on top of a prefetching level. The rule takes
+// R to hold every line the phase brings into the level: later units
+// are translates of unit 0 or their clamped boundary subsets.
 //
-// Why such a phase can neither confirm a cycle nor match a pin. Lines
+// Why such a phase, where it brings lines into the level, can neither
+// confirm a cycle nor match a pin. Lines
 // of R fall in distinct sets, and a level installs only lines the
 // phase accesses (levels do not pass writebacks down), so within the
 // phase
@@ -557,8 +556,8 @@ var (
 // (a) it is no line of R but one an earlier phase left.
 //   - Entered cold (a warm-up's first phase), the level holds only
 //     lines of R, so S_p ⊆ S_q by (a), and equal counts make
-//     S_p = S_q = S_p + d, which only an empty level satisfies; unit 0
-//     left a line there.
+//     S_p = S_q = S_p + d, which only an empty level satisfies; the
+//     phase left a line there.
 //   - Entered warm (a §4.6 operator after another, a tiled sweep's
 //     later phases, any phase of a later sweep), the phase must
 //     displace the earlier phases' lines bottom first, one translate
@@ -578,11 +577,14 @@ var (
 // Entered cold in the warm-up, the set of h was empty then and cannot
 // be empty again, so a sweep's first phase never matches a pin.
 //
-// A phase whose unit 0 brings nothing into a level (red-black's second
-// pass, which finds the first pass's lines in the L2) is not refused
-// by that level: its state there stays as it was, the same in both
-// sweeps, and its pins can match where a level it wraps lands on the
-// warm-up's state, as they do for red-black on a 2-way L1.
+// A phase that brings nothing into the level (red-black's second pass,
+// which finds the first pass's lines in the L2) is refused as well,
+// though its pins could match where a level it wraps lands on the
+// warm-up's state. Chaining stands in for them: the phase's record
+// keeps its end state, a measured sweep that reaches the phase chained
+// commits it whole, and one that simulates it in full chains again
+// where it lands on that state, which deltaEndStateEq compares on
+// set-associative levels in LRU order.
 //
 // The warm-entry cases are thus a property of the workload, and
 // checkCoverage tests them: every phase the rule refuses in the
@@ -604,16 +606,12 @@ func (s *Steady) wrapsEveryLevel() bool {
 		return true
 	}
 	hi += int64(s.planes-1) * s.delta
-	for li, c := range s.h.levels {
+	for _, c := range s.h.levels {
 		span := hi>>c.lineShift - lo>>c.lineShift + 3
 		if c.cfg.NextLinePrefetch {
 			span++
 		}
-		if span > int64(c.sets) {
-			continue
-		}
-		u := subStats(c.stats, s.baseline[li])
-		if u.LoadMisses > 0 || c.cfg.WriteAllocate && u.StoreMisses > 0 {
+		if span <= int64(c.sets) {
 			return false
 		}
 	}
