@@ -1337,20 +1337,7 @@ func replayInterleaved(levels []*Cache, g []Run, members []int32, n int64) {
 			var slot int
 			hit := false
 			if twoWay {
-				b := int(line&mask) << 1
-				switch {
-				case tags[b] == line:
-					slot, hit = b, true
-				case tags[b+1] == line:
-					slot, hit = b+1, true
-				default:
-					// Cache.install's victim: an empty way first, else
-					// the smaller stamp (way 0 on a tie).
-					slot = b
-					if tags[b] != -1 && (tags[b+1] == -1 || stamp[b+1] < stamp[b]) {
-						slot = b + 1
-					}
-				}
+				slot, hit = lru2(tags, stamp, int(line&mask)<<1, line)
 			} else {
 				slot = int(line & mask)
 				hit = tags[slot] == line

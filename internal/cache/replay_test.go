@@ -191,7 +191,7 @@ func TestReplayRunsGroupShapes(t *testing.T) {
 	}
 }
 
-// TestReplayPhasedComponents pins the phased decomposition: equal-stride
+// TestReplayPhasedComponents pins the phase-ordered split: equal-stride
 // runs that conflict in set space but visit every shared set in
 // well-separated lockstep windows replay one run at a time.
 func TestReplayPhasedComponents(t *testing.T) {
@@ -218,7 +218,7 @@ func TestReplayPhasedComponents(t *testing.T) {
 		t.Errorf("phase order %v, want [1 0]", order[:2])
 	}
 
-	// Differential: the phased replay must match per-access exactly,
+	// Differential: the phase-ordered replay must match per-access exactly,
 	// including across repeated sweeps that start from the previous
 	// sweep's surviving state.
 	want := MustHierarchy(UltraSparc2L1(), UltraSparc2L2())

@@ -32,7 +32,7 @@ func replayCases(k Kernel) []struct {
 		{"gcdpad", 20, 7, pad},
 		// Padding without tiling at full size: whole-row runs whose plane
 		// neighbors partially alias in the L1 set space, the shape that
-		// exercises the engine's phased component decomposition.
+		// exercises the engine's phase-ordered split of a component.
 		{"gcdpad-untiled", 256, 3, core.Select(core.MethodGcdPadNT, 2048, 256, 256, spec)},
 		// 64*64 elements * 8B = 32KB ≡ 0 mod 16KB: adjacent planes
 		// collide in the UltraSparc2 L1, the paper's pathological case.
