@@ -334,3 +334,47 @@ func TestDeltaEchoedPhaseChain(t *testing.T) {
 		}
 	}
 }
+
+// TestSameLRUSet pins the set-associative end-state comparison that
+// lets a phase simulated in full chain: two states of a set are equal
+// when they hold the same lines with the same dirty bits in the same
+// recency order, whichever ways hold them and whatever their raw stamps.
+func TestSameLRUSet(t *testing.T) {
+	type set struct {
+		tags  []int64
+		dirty []bool
+		stamp []uint64
+	}
+	a := set{[]int64{7, 9}, []bool{true, false}, []uint64{3, 5}}
+	cases := []struct {
+		name string
+		a, b set
+		want bool
+	}{
+		{"identical", a, a, true},
+		{"ways swapped, stamps shifted", a, set{[]int64{9, 7}, []bool{false, true}, []uint64{40, 12}}, true},
+		{"recency reversed", a, set{[]int64{7, 9}, []bool{true, false}, []uint64{5, 3}}, false},
+		{"dirty bit differs", a, set{[]int64{7, 9}, []bool{false, false}, []uint64{3, 5}}, false},
+		{"other line", a, set{[]int64{7, 8}, []bool{true, false}, []uint64{3, 5}}, false},
+		{"one line missing", a, set{[]int64{7, -1}, []bool{true, false}, []uint64{3, 0}}, false},
+		{"both empty", set{[]int64{-1, -1}, []bool{false, false}, []uint64{0, 0}},
+			set{[]int64{-1, -1}, []bool{false, false}, []uint64{0, 9}}, true},
+		{"4-way, empty ways placed apart",
+			set{[]int64{4, -1, 6, 5}, []bool{false, false, true, false}, []uint64{1, 0, 7, 2}},
+			set{[]int64{-1, 5, 4, 6}, []bool{false, false, false, true}, []uint64{0, 20, 10, 30}}, true},
+		{"4-way, two lines' order swapped",
+			set{[]int64{4, -1, 6, 5}, []bool{false, false, true, false}, []uint64{1, 0, 7, 2}},
+			set{[]int64{-1, 5, 4, 6}, []bool{false, false, false, true}, []uint64{0, 10, 20, 30}}, false},
+	}
+	for _, c := range cases {
+		for _, flip := range []bool{false, true} {
+			x, y := c.a, c.b
+			if flip {
+				x, y = y, x
+			}
+			if got := sameLRUSet(x.tags, x.dirty, x.stamp, y.tags, y.dirty, y.stamp); got != c.want {
+				t.Errorf("%s (flipped %v): sameLRUSet = %v, want %v", c.name, flip, got, c.want)
+			}
+		}
+	}
+}
